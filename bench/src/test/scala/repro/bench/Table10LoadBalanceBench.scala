@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 10 — per-partition workload: set-intersection checks accumulated
@@ -12,21 +12,11 @@ import repro.graph.Datasets
   */
 class Table10LoadBalanceBench extends SparkSpec {
 
-  private val datasets = Seq(Datasets.movielensLite, Datasets.orkutLite)
-  private val partitions = 16
+  private val datasets = Tables.LoadBalance.datasets
+  private val partitions = Tables.LoadBalance.partitions
 
   test("Table 10: per-partition workload (paper Fig. 10)") {
-    val rows = datasets.flatMap { d =>
-      // k = |E|/10 mirrors the paper's middle sample size choice (150K).
-      Experiments.loadBalance(spark, Seq(d), k = d.m / 10, miniBatch = 10000,
-        partitions = partitions, alpha = 0.2)
-    }
-
-    TablePrinter.print(
-      "Table 10 (paper Fig. 10): set-intersection checks per partition, M=10000, p=16",
-      Seq("dataset", "partition", "checks", "edges"),
-      rows.map(r => Seq(r.dataset, r.partition.toString, r.work.toString,
-        r.edges.toString)))
+    val rows = Tables.LoadBalance.run(spark)
 
     datasets.foreach { d =>
       val mine = rows.filter(_.dataset == d.name)

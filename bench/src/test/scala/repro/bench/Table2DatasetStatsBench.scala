@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.TablePrinter
-import repro.graph.Datasets
+import repro.experiments.Tables
 
 /** Table II — dataset statistics of the four synthetic analogs, printed
   * next to the paper's numbers for the originals (EXPERIMENTS.md records
@@ -12,18 +11,7 @@ import repro.graph.Datasets
 class Table2DatasetStatsBench extends AnyFunSuite {
 
   test("Table 2: dataset statistics (paper Table II)") {
-    val stats = Datasets.all.map(Datasets.stats)
-
-    TablePrinter.print(
-      "Table 2 (paper Table II): dataset statistics",
-      Seq("graph", "|E|", "|L|", "|R|", "|B|", "density",
-          "paper |E|", "paper |B|", "paper density"),
-      Datasets.all.zip(stats).map { case (d, s) =>
-        Seq(s.name, s.edges.toString, s.left.toString, s.right.toString,
-          s.butterflies.toString, TablePrinter.sci(s.density),
-          TablePrinter.sci(d.paper.edges), TablePrinter.sci(d.paper.butterflies),
-          TablePrinter.sci(d.paper.density))
-      })
+    val stats = Tables.DatasetStatistics.run()
 
     // |E| strictly increasing, as in the paper's Table II ordering.
     stats.map(_.edges).sliding(2).foreach { case Seq(a, b) => assert(a < b) }

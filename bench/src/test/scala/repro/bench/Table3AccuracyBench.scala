@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 3 — relative error with 20% deletions while varying the sample
@@ -11,20 +11,7 @@ import repro.graph.Datasets
 class Table3AccuracyBench extends AnyFunSuite {
 
   test("Table 3: relative error with alpha=20% (paper Fig. 3)") {
-    val rows = Datasets.all.flatMap { d =>
-      Experiments.accuracy(Seq(d), d.sampleSizes, alpha = 0.2, trials = 5)
-    }
-
-    TablePrinter.print(
-      "Table 3 (paper Fig. 3): relative error, alpha=20%",
-      Seq("dataset", "k", "abacus", "fleet", "cas"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq
-        .sortBy { case ((d, k), _) => (Datasets.all.indexWhere(_.name == d), k) }
-        .map { case ((d, k), rs) =>
-          val byAlg = rs.map(r => r.algorithm -> r.relError).toMap
-          Seq(d, k.toString, TablePrinter.pct(byAlg("abacus")),
-            TablePrinter.pct(byAlg("fleet")), TablePrinter.pct(byAlg("cas")))
-        })
+    val rows = Tables.AccuracyDeletions.run()
 
     // ABACUS must beat both baselines on every dataset (averaged over k —
     // the baselines ignore the 20% deletions entirely).

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 4 — throughput with 20% deletions while varying the sample size
@@ -13,24 +13,7 @@ import repro.graph.Datasets
 class Table4ThroughputBench extends SparkSpec {
 
   test("Table 4: throughput with alpha=20% (paper Fig. 4)") {
-    val rows = Datasets.all.flatMap { d =>
-      Experiments.throughputAll(spark, Seq(d), d.sampleSizes, alpha = 0.2,
-        miniBatch = 10000, partitions = 16)
-    }
-
-    val algOrder = Seq("abacus", "abacus-ins-only", "fleet", "cas")
-    TablePrinter.print(
-      "Table 4 (paper Fig. 4): throughput [edges/s], alpha=20%",
-      Seq("dataset", "k", "abacus(ins+del)", "abacus(ins-only)", "fleet", "cas",
-          "parabacus"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq
-        .sortBy { case ((d, k), _) => (Datasets.all.indexWhere(_.name == d), k) }
-        .map { case ((d, k), rs) =>
-          def of(alg: String) = rs.find(_.algorithm == alg).map(_.edgesPerSec).getOrElse(0.0)
-          val pa = rs.find(_.algorithm.startsWith("parabacus")).map(_.edgesPerSec).getOrElse(0.0)
-          Seq(d, k.toString) ++ algOrder.map(a => TablePrinter.sci(of(a))) :+
-            TablePrinter.sci(pa)
-        })
+    val rows = Tables.Throughput.run(spark)
 
     rows.foreach(r => assert(r.edgesPerSec > 0, r.toString))
 

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.{Experiments, Tables}
 import repro.graph.Datasets
 
 /** Table 5 — relative error on insert-only streams, α=0% (paper Fig. 5).
@@ -11,20 +11,7 @@ import repro.graph.Datasets
 class Table5InsertOnlyBench extends AnyFunSuite {
 
   test("Table 5: relative error on insert-only streams (paper Fig. 5)") {
-    val rows = Datasets.all.flatMap { d =>
-      Experiments.accuracy(Seq(d), d.sampleSizes, alpha = 0.0, trials = 5)
-    }
-
-    TablePrinter.print(
-      "Table 5 (paper Fig. 5): relative error, alpha=0%",
-      Seq("dataset", "k", "abacus", "fleet", "cas"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq
-        .sortBy { case ((d, k), _) => (Datasets.all.indexWhere(_.name == d), k) }
-        .map { case ((d, k), rs) =>
-          val byAlg = rs.map(r => r.algorithm -> r.relError).toMap
-          Seq(d, k.toString, TablePrinter.pct(byAlg("abacus")),
-            TablePrinter.pct(byAlg("fleet")), TablePrinter.pct(byAlg("cas")))
-        })
+    val rows = Tables.AccuracyInsertOnly.run()
 
     // ABACUS keeps up with the insert-only specialists: averaged over k it
     // must not be more than 2x worse than FLEET (it is often better —

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 6 — impact of the deletion ratio α on ABACUS's accuracy and
@@ -11,19 +11,8 @@ import repro.graph.Datasets
   */
 class Table6DeletionImpactBench extends AnyFunSuite {
 
-  private val alphas = Seq(0.05, 0.10, 0.20, 0.30)
-
   test("Table 6: impact of deletions (paper Fig. 6)") {
-    val rows = Datasets.all.flatMap { d =>
-      // Paper: fixed 150K of 10M-327M edges; here the middle rung |E|/50.
-      Experiments.deletionImpact(Seq(d), alphas, k = d.m / 50, trials = 3)
-    }
-
-    TablePrinter.print(
-      "Table 6 (paper Fig. 6): ABACUS vs deletion ratio, k=|E|/50",
-      Seq("dataset", "alpha", "rel-error", "throughput [edges/s]"),
-      rows.map(r => Seq(r.dataset, TablePrinter.pct(r.alpha),
-        TablePrinter.pct(r.relError), TablePrinter.sci(r.edgesPerSec))))
+    val rows = Tables.DeletionImpact.run()
 
     Datasets.all.map(_.name).foreach { d =>
       val mine = rows.filter(_.dataset == d)

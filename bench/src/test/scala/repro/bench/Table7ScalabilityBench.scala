@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.{Experiments, TablePrinter}
-import repro.graph.Datasets
+import repro.experiments.Tables
 
 /** Table 7 — elapsed time versus stream prefix length (paper Fig. 7, which
   * shows Trackers and Orkut). Expected shape: cumulative time grows
@@ -11,21 +10,10 @@ import repro.graph.Datasets
   */
 class Table7ScalabilityBench extends AnyFunSuite {
 
-  private val datasets = Seq(Datasets.trackersLite, Datasets.orkutLite)
+  private val datasets = Tables.Scalability.datasets
 
   test("Table 7: ABACUS scales linearly with the stream size (paper Fig. 7)") {
-    val rows = datasets.flatMap { d =>
-      Experiments.scalability(Seq(d), d.sampleSizes, alpha = 0.2)
-    }
-
-    TablePrinter.print(
-      "Table 7 (paper Fig. 7): cumulative elapsed time [ms] per stream decile",
-      Seq("dataset", "k") ++ (1 to 10).map(dc => s"${dc * 10}%"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq.sortBy { case ((d, k), _) => (d, k) }
-        .map { case ((d, k), rs) =>
-          Seq(d, k.toString) ++
-            rs.sortBy(_.fractionPct).map(r => TablePrinter.dbl(r.elapsedMs))
-        })
+    val rows = Tables.Scalability.run()
 
     rows.groupBy(r => (r.dataset, r.k)).foreach { case ((d, k), rs) =>
       val byPct = rs.map(r => r.fractionPct -> r.elapsedMs).toMap

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 8 — PARABACUS speedup over ABACUS while varying the mini-batch
@@ -13,25 +13,10 @@ import repro.graph.Datasets
   */
 class Table8MinibatchSpeedupBench extends SparkSpec {
 
-  private val miniBatches = Seq(500, 2000, 10000)
+  private val miniBatches = Tables.SpeedupMinibatch.miniBatches
 
   test("Table 8: PARABACUS speedup vs mini-batch size (paper Fig. 8)") {
-    val rows = Datasets.all.flatMap { d =>
-      Experiments.speedup(spark, Seq(d), d.speedupSampleSizes, miniBatches,
-        partitionCounts = Seq(16), alpha = 0.2)
-    }
-
-    TablePrinter.print(
-      "Table 8 (paper Fig. 8): speedup vs mini-batch size, p=16",
-      Seq("dataset", "k", "seq [ms]") ++ miniBatches.map(m => s"M=$m"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq
-        .sortBy { case ((d, k), _) => (Datasets.all.indexWhere(_.name == d), k) }
-        .map { case ((d, k), rs) =>
-          Seq(d, k.toString, TablePrinter.dbl(rs.head.seqMs)) ++
-            miniBatches.map { m =>
-              TablePrinter.dbl(rs.find(_.miniBatch == m).get.speedup)
-            }
-        })
+    val rows = Tables.SpeedupMinibatch.run(spark)
 
     // Speedup grows with the mini-batch size for every (dataset, k).
     rows.groupBy(r => (r.dataset, r.k)).foreach { case ((d, k), rs) =>

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Experiments, TablePrinter}
+import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 9 — PARABACUS speedup over ABACUS while varying the number of
@@ -11,25 +11,8 @@ import repro.graph.Datasets
   */
 class Table9ThreadSpeedupBench extends SparkSpec {
 
-  private val partitions = Seq(1, 2, 4, 8, 16)
-
   test("Table 9: PARABACUS speedup vs partitions (paper Fig. 9)") {
-    val rows = Datasets.all.flatMap { d =>
-      Experiments.speedup(spark, Seq(d), d.speedupSampleSizes,
-        miniBatches = Seq(10000), partitionCounts = partitions, alpha = 0.2)
-    }
-
-    TablePrinter.print(
-      "Table 9 (paper Fig. 9): speedup vs partitions, M=10000",
-      Seq("dataset", "k", "seq [ms]") ++ partitions.map(p => s"p=$p"),
-      rows.groupBy(r => (r.dataset, r.k)).toSeq
-        .sortBy { case ((d, k), _) => (Datasets.all.indexWhere(_.name == d), k) }
-        .map { case ((d, k), rs) =>
-          Seq(d, k.toString, TablePrinter.dbl(rs.head.seqMs)) ++
-            partitions.map { p =>
-              TablePrinter.dbl(rs.find(_.partitions == p).get.speedup)
-            }
-        })
+    val rows = Tables.SpeedupThreads.run(spark)
 
     rows.groupBy(r => (r.dataset, r.k)).foreach { case ((d, k), rs) =>
       val at1 = rs.find(_.partitions == 1).get.speedup

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared bootstrap for the per-table spark-submit entrypoints. */
+/** Shared bootstrap for the spark-submit entry point. */
 object JobUtil {
   /** Local SparkSession mirroring the test configuration. */
   def session(name: String): SparkSession = {

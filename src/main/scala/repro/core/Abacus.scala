@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import scala.collection.mutable.ArrayBuffer
 
 /** ABACUS (Algorithm 1): approximate butterfly counting over a fully
   * dynamic bipartite graph stream.
@@ -11,30 +12,34 @@ import java.util.SplittableRandom
   * the Random Pairing sample update. Space is O(k); time is O(k² t) for t
   * elements (Theorems 3, 4).
   *
+  * This class is the only owner of the sampler and estimator state.
+  * [[ParAbacus]] drives the same state a mini-batch at a time: it advances
+  * the sampler over the batch first ([[advanceBatch]]), counts the batch in
+  * parallel against the recorded versions, then adds the partial counts
+  * back ([[addPartials]]).
+  *
   * @param k    memory budget: maximum number of sampled edges (≥ 2)
   * @param seed seed for the sampling RNG — runs are deterministic in
   *             (stream, k, seed), which the PARABACUS equivalence tests rely on
   */
 final class Abacus(val k: Int, seed: Long) {
   private val sample = new AdjacencySample
-  private val rp = new RandomPairing(k, sample, new SplittableRandom(seed))
-
-  private var est: Double = 0.0
+  /** The Random Pairing sampler over `sample`: |E|, c_b, c_g and S. */
+  private[core] val rp = new RandomPairing(k, sample, new SplittableRandom(seed))
+  private val tally = new Abacus.Tally
   private var processedCount: Long = 0L
-  private var totalWorkCount: Long = 0L
-  private var totalFoundCount: Long = 0L
 
   /** Current butterfly count estimate c. */
-  def estimate: Double = est
+  def estimate: Double = tally.estimate
 
   /** Elements processed so far. */
   def processed: Long = processedCount
 
   /** Total set-intersection probes spent (workload metric, §VI-G). */
-  def totalWork: Long = totalWorkCount
+  def totalWork: Long = tally.work
 
   /** Total butterflies discovered through the sample (pre-extrapolation). */
-  def totalFound: Long = totalFoundCount
+  def totalFound: Long = tally.found
 
   /** Current sample size |S|. */
   def sampleSize: Int = sample.size
@@ -46,14 +51,8 @@ final class Abacus(val k: Int, seed: Long) {
   def process(el: StreamElement): Unit = {
     // Increment uses the RP state *before* this element's sample update
     // (Appendix B uses p^{(s-1)}).
-    val r = ButterflyCounter.countForEdge(sample, el.edge.left, el.edge.right)
-    totalWorkCount += r.work
-    if (r.butterflies > 0) {
-      val inc = DiscoveryProbability.increment(
-        el.sign, rp.streamEdgeCount, rp.cb, rp.cg, k)
-      est += r.butterflies * inc
-      totalFoundCount += r.butterflies
-    }
+    tally.countEdge(sample, el.edge.left, el.edge.right, el.sign,
+      rp.streamEdgeCount, rp.cb, rp.cg, k)
     rp.apply(el)
     processedCount += 1
   }
@@ -61,6 +60,92 @@ final class Abacus(val k: Int, seed: Long) {
   /** Process a whole stream (convenience for tests and benchmarks). */
   def processAll(stream: IterableOnce[StreamElement]): Double = {
     stream.iterator.foreach(process)
-    est
+    estimate
+  }
+
+  /** PARABACUS phase 1: advance the sampler over a whole mini-batch without
+    * counting, and record every sample version the batch's edges observe —
+    * S_0 plus the deltas each update makes, and the `{s, c_b, c_g}` triplet
+    * before each update (O(M) time, O(k+M) space; Theorems 6, 7). The
+    * counting is left to [[addPartials]].
+    */
+  private[core] def advanceBatch(batch: IndexedSeq[StreamElement]): VersionedSampleSnapshot = {
+    val m = batch.length
+    val baseEdges = sample.snapshotEdges()
+    val baseLeft = new Array[Long](baseEdges.length)
+    val baseRight = new Array[Long](baseEdges.length)
+    var b = 0
+    while (b < baseEdges.length) {
+      baseLeft(b) = baseEdges(b).left; baseRight(b) = baseEdges(b).right
+      b += 1
+    }
+    val elemLeft = new Array[Long](m)
+    val elemRight = new Array[Long](m)
+    val elemIns = new Array[Boolean](m)
+    val tEdges = new Array[Long](m)
+    val tCb = new Array[Long](m)
+    val tCg = new Array[Long](m)
+    val dVer = ArrayBuffer.empty[Int]
+    val dAdd = ArrayBuffer.empty[Boolean]
+    val dLeft = ArrayBuffer.empty[Long]
+    val dRight = ArrayBuffer.empty[Long]
+    var i = 0
+    while (i < m) {
+      val el = batch(i)
+      elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
+      elemIns(i) = el.isInsert
+      tEdges(i) = rp.streamEdgeCount; tCb(i) = rp.cb; tCg(i) = rp.cg
+      // Updates of edge i become visible at version i+1.
+      rp.apply(el).foreach { d =>
+        dVer += i + 1
+        dAdd += d.isInstanceOf[AddToSample]
+        dLeft += d.edge.left
+        dRight += d.edge.right
+      }
+      i += 1
+    }
+    VersionedSampleSnapshot(
+      baseLeft, baseRight,
+      dVer.toArray, dAdd.toArray, dLeft.toArray, dRight.toArray,
+      elemLeft, elemRight, elemIns,
+      tEdges, tCb, tCg, k)
+  }
+
+  /** PARABACUS phase 3: add the partial counts of a batch advanced by
+    * [[advanceBatch]], in the given order.
+    */
+  private[core] def addPartials(parts: Iterable[PartitionCount]): Unit =
+    parts.foreach { r =>
+      tally.estimate += r.partialCount
+      tally.work += r.work
+      tally.found += r.found
+      processedCount += r.edges
+    }
+}
+
+object Abacus {
+
+  /** Running sums of Algorithm 1's per-edge step: the estimate, the
+    * set-intersection probes and the butterflies found.
+    */
+  private[core] final class Tally {
+    var estimate: Double = 0.0
+    var work: Long = 0L
+    var found: Long = 0L
+
+    /** Algorithm 1, lines 5–11, for one edge `{u, v}`: count the butterflies
+      * it forms with `view`, and add each with weight `sgn(δ)/Pr(|E|, c_b, c_g)`
+      * for the Random Pairing state (`numEdges`, `cb`, `cg`) that `view` is
+      * a sample of.
+      */
+    def countEdge(view: AdjView, u: Long, v: Long, sign: Int,
+                  numEdges: Long, cb: Long, cg: Long, k: Int): Unit = {
+      val r = ButterflyCounter.countForEdge(view, u, v)
+      work += r.work
+      if (r.butterflies > 0) {
+        estimate += r.butterflies * DiscoveryProbability.increment(sign, numEdges, cb, cg, k)
+        found += r.butterflies
+      }
+    }
   }
 }

@@ -92,20 +92,4 @@ final class AdjacencySample extends AdjView {
 
   /** Immutable snapshot of the sampled edges, for broadcasting to tasks. */
   def snapshotEdges(): Array[Edge] = edges.toArray
-
-  /** Cumulative sample degree of the right-neighbours of left vertex `u`
-    * (the Σ_{x∈N_u^S} d_x of Algorithm 1, line 7).
-    */
-  def cumulativeDegreeViaLeft(u: Long): Long = {
-    var s = 0L
-    leftNeighbors(u).foreach(w => s += rightDegree(w))
-    s
-  }
-
-  /** Cumulative sample degree of the left-neighbours of right vertex `v`. */
-  def cumulativeDegreeViaRight(v: Long): Long = {
-    var s = 0L
-    rightNeighbors(v).foreach(x => s += leftDegree(x))
-    s
-  }
 }

@@ -1,33 +1,32 @@
 package repro.core
 
-import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
-import scala.collection.mutable.ArrayBuffer
 
 /** Per-partition result of the parallel counting phase.
   *
   * @param partition   partition (thread) index
   * @param partialCount sum of extrapolated per-edge counts c_i for the range
   * @param work        set-intersection probes performed (load metric, §VI-G)
+  * @param found       butterflies discovered through the sample versions
   * @param edges       number of mini-batch edges the partition processed
   */
 final case class PartitionCount(partition: Int, partialCount: Double,
-                                work: Long, edges: Int) extends Serializable
+                                work: Long, found: Long, edges: Int) extends Serializable
 
 /** PARABACUS (§V): the parallel mini-batch variant of ABACUS on Spark.
   *
   * Per mini-batch of M edges it:
-  *  1. sequentially replays the Random Pairing updates on the driver to
-  *     build a [[VersionedSampleSnapshot]] — the `{s,c_b,c_g}` triplet per
-  *     version plus the sample-version *deltas* (O(M) time, O(k+M) space;
-  *     Theorems 6, 7);
+  *  1. advances the [[Abacus]] core's Random Pairing sampler over the batch
+  *     on the driver, recording a [[VersionedSampleSnapshot]] — the
+  *     `{s,c_b,c_g}` triplet per version plus the sample-version *deltas*
+  *     (O(M) time, O(k+M) space; Theorems 6, 7);
   *  2. broadcasts the snapshot and fans the per-edge butterfly counting out
   *     over `p` RDD partitions (the paper's p threads), each handling a
   *     contiguous equal-sized range of the batch against its own replayed
   *     sample versions;
-  *  3. reduces the partial counts `c_0..c_{M-1}` into the running estimate.
+  *  3. adds the partial counts `c_0..c_{M-1}` into the core's estimate.
   *
-  * Version consolidation is implicit: the driver's sample was already
+  * Version consolidation is implicit: the core's sample was already
   * advanced to version M during step 1 and serves as S_0 of the next batch.
   *
   * Given the same (stream, k, seed), PARABACUS produces the same estimates
@@ -38,23 +37,20 @@ final case class PartitionCount(partition: Int, partialCount: Double,
 final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartitions: Int) {
   require(numPartitions >= 1, "need at least one partition")
 
-  private val sample = new AdjacencySample
-  private val rp = new RandomPairing(k, sample, new SplittableRandom(seed))
+  /** The sampler and estimator state; ABACUS over the same elements. */
+  private[core] val core = new Abacus(k, seed)
   private val sc = spark.sparkContext
-
-  private var est: Double = 0.0
-  private var processedCount: Long = 0L
   private val workByPartition = Array.fill(numPartitions)(0L)
   private val edgesByPartition = Array.fill(numPartitions)(0L)
 
   /** Current butterfly count estimate c. */
-  def estimate: Double = est
+  def estimate: Double = core.estimate
 
   /** Elements processed so far. */
-  def processed: Long = processedCount
+  def processed: Long = core.processed
 
   /** Current sample size |S|. */
-  def sampleSize: Int = sample.size
+  def sampleSize: Int = core.sampleSize
 
   /** Cumulative set-intersection probes per partition across all batches —
     * the data behind the load-balance table (Fig. 10).
@@ -67,50 +63,11 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
   /** Process one mini-batch and return the per-partition results. */
   def processBatch(batch: IndexedSeq[StreamElement]): Seq[PartitionCount] = {
     if (batch.isEmpty) return Nil
-    val m = batch.length
 
-    // Phase 1 (sequential, driver): snapshot S_0, then build versions.
-    val baseEdges = sample.snapshotEdges()
-    val baseLeft = new Array[Long](baseEdges.length)
-    val baseRight = new Array[Long](baseEdges.length)
-    var b = 0
-    while (b < baseEdges.length) {
-      baseLeft(b) = baseEdges(b).left; baseRight(b) = baseEdges(b).right
-      b += 1
-    }
-    val elemLeft = new Array[Long](m)
-    val elemRight = new Array[Long](m)
-    val elemIns = new Array[Boolean](m)
-    val tEdges = new Array[Long](m)
-    val tCb = new Array[Long](m)
-    val tCg = new Array[Long](m)
-    val dVer = ArrayBuffer.empty[Int]
-    val dAdd = ArrayBuffer.empty[Boolean]
-    val dLeft = ArrayBuffer.empty[Long]
-    val dRight = ArrayBuffer.empty[Long]
-    var i = 0
-    while (i < m) {
-      val el = batch(i)
-      elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
-      elemIns(i) = el.isInsert
-      tEdges(i) = rp.streamEdgeCount; tCb(i) = rp.cb; tCg(i) = rp.cg
-      // Updates of edge i become visible at version i+1.
-      rp.apply(el).foreach { d =>
-        dVer += i + 1
-        dAdd += d.isInstanceOf[AddToSample]
-        dLeft += d.edge.left
-        dRight += d.edge.right
-      }
-      i += 1
-    }
-    val snap = VersionedSampleSnapshot(
-      baseLeft, baseRight,
-      dVer.toArray, dAdd.toArray, dLeft.toArray, dRight.toArray,
-      elemLeft, elemRight, elemIns,
-      tEdges, tCb, tCg, k)
+    // Phase 1 (sequential, driver): advance the sampler, recording versions.
+    val bc = sc.broadcast(core.advanceBatch(batch))
 
     // Phase 2 (parallel): per-edge counting, edge i against version i.
-    val bc = sc.broadcast(snap)
     val p = numPartitions
     val results: Array[PartitionCount] =
       sc.parallelize(0 until p, p)
@@ -119,19 +76,18 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
     bc.destroy()
 
     // Phase 3: reduce partials in partition order (edge order overall).
+    core.addPartials(results)
     results.foreach { r =>
-      est += r.partialCount
       workByPartition(r.partition) += r.work
       edgesByPartition(r.partition) += r.edges
     }
-    processedCount += m
     results.toSeq
   }
 
   /** Process a whole stream in mini-batches of `miniBatchSize` edges. */
   def processAll(stream: Iterable[StreamElement], miniBatchSize: Int): Double = {
     stream.grouped(miniBatchSize).foreach(g => processBatch(g.toIndexedSeq))
-    est
+    estimate
   }
 }
 
@@ -150,21 +106,15 @@ object ParAbacus {
   def countRange(snap: VersionedSampleSnapshot, pid: Int, p: Int): PartitionCount = {
     val (lo, hi) = range(pid, p, snap.batchSize)
     val replayer = new SampleReplayer(snap)
-    var partial = 0.0
-    var work = 0L
+    val tally = new Abacus.Tally
     var i = lo
     while (i < hi) {
       replayer.advanceTo(i)
-      val r = ButterflyCounter.countForEdge(
-        replayer.view, snap.elemLeft(i), snap.elemRight(i))
-      work += r.work
-      if (r.butterflies > 0) {
-        val sign = if (snap.elemIsInsert(i)) 1 else -1
-        partial += r.butterflies * DiscoveryProbability.increment(
-          sign, snap.tripletEdges(i), snap.tripletCb(i), snap.tripletCg(i), snap.k)
-      }
+      tally.countEdge(replayer.view, snap.elemLeft(i), snap.elemRight(i),
+        if (snap.elemIsInsert(i)) 1 else -1,
+        snap.tripletEdges(i), snap.tripletCb(i), snap.tripletCg(i), snap.k)
       i += 1
     }
-    PartitionCount(pid, partial, work, hi - lo)
+    PartitionCount(pid, tally.estimate, tally.work, tally.found, hi - lo)
   }
 }

@@ -13,7 +13,8 @@ import scala.collection.immutable.ArraySeq
   *   - `cg` ("good"): uncompensated deletions of edges that were not.
   *
   * Every mutation of the sample is returned as a sequence of [[SampleDelta]]s
-  * so PARABACUS can version the sample; ABACUS ignores them.
+  * so [[Abacus.advanceBatch]] can version the sample for PARABACUS;
+  * [[Abacus.process]] ignores them.
   */
 final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: SplittableRandom) {
   require(k >= 2, s"memory budget k must be >= 2, got $k")

@@ -1,12 +1,5 @@
 package repro.core
 
-/** The `{s, c_b, c_g}` triplet cached with each sample version (§V-A):
-  * the live stream edge count and the RP compensation counters at the
-  * moment the version was created. PARABACUS computes each edge's
-  * increment (Eq. 1) from its version's triplet.
-  */
-final case class VersionTriplet(streamEdges: Long, cb: Long, cg: Long) extends Serializable
-
 /** Immutable, broadcastable versioned sample for one mini-batch (§V-A).
   *
   * Version `i` (0 ≤ i < M) is the sample state the i-th edge of the
@@ -34,10 +27,6 @@ final case class VersionedSampleSnapshot(
 ) extends Serializable {
   /** Mini-batch size M. */
   def batchSize: Int = elemLeft.length
-
-  /** Triplet observed by mini-batch edge `i` (for reporting/tests). */
-  def triplet(i: Int): VersionTriplet =
-    VersionTriplet(tripletEdges(i), tripletCb(i), tripletCg(i))
 }
 
 /** Forward-only reconstruction of sample versions from a snapshot.

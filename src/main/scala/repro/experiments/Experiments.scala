@@ -6,9 +6,8 @@ import repro.core.{Abacus, ParAbacus, StreamElement}
 import repro.graph.LiteDataset
 
 /** Experiment harnesses behind the reproduced tables (one per Fig. 3–10 and
-  * Table II). Each returns plain row case classes; the bench suites print
-  * them via [[TablePrinter]] and assert the paper's qualitative shapes, and
-  * the `jobs/` entrypoints wrap them for spark-submit.
+  * Table II). Each returns plain row case classes; [[Tables]] fixes each
+  * table's parameters and prints the rows via [[TablePrinter]].
   */
 object Experiments {
 

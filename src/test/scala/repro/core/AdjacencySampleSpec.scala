@@ -61,15 +61,6 @@ class AdjacencySampleSpec extends AnyFunSuite {
     assert(s.rightDegree(11L) === 1)
   }
 
-  test("cumulative degrees match the paper's Σ d_x definition") {
-    // u=1 has right-neighbours {10, 11}; d(10)=2, d(11)=1 → 3.
-    val s = sampleWith((1L, 10L), (1L, 11L), (2L, 10L))
-    assert(s.cumulativeDegreeViaLeft(1L) === 3L)
-    // v=10 has left-neighbours {1, 2}; d(1)=2, d(2)=1 → 3.
-    assert(s.cumulativeDegreeViaRight(10L) === 3L)
-    assert(s.cumulativeDegreeViaLeft(99L) === 0L)
-  }
-
   test("swap-remove keeps the edge registry consistent") {
     val s = sampleWith((1L, 1L), (2L, 2L), (3L, 3L), (4L, 4L))
     s.remove(Edge(1L, 1L)) // head removal exercises the swap path

@@ -94,9 +94,19 @@ class ParAbacusSpec extends SparkSpec {
   test("sample state after a batch matches Abacus's (consolidation)") {
     val stream = TestGraphs.randomStream(15, 15, 150, 0.25, 21L)
     val seq = new Abacus(k = 12, seed = 7L)
-    seq.processAll(stream)
     val par = new ParAbacus(k = 12, seed = 7L, spark, numPartitions = 2)
-    par.processAll(stream, 40)
+    stream.grouped(40).zipWithIndex.foreach { case (batch, j) =>
+      seq.processAll(batch)
+      par.processBatch(batch)
+      val core = par.core
+      assertSameEstimate(seq.estimate, par.estimate, s"batch $j")
+      assert((core.totalWork, core.totalFound) === ((seq.totalWork, seq.totalFound)), s"batch $j")
+      assert((core.rp.streamEdgeCount, core.rp.cb, core.rp.cg) ===
+        ((seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg)), s"batch $j")
+      assert(core.rp.sample.snapshotEdges().toSet === seq.rp.sample.snapshotEdges().toSet,
+        s"batch $j")
+      assert(par.processed === seq.processed, s"batch $j")
+    }
     assert(par.sampleSize === seq.sampleSize)
   }
 }

@@ -65,6 +65,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       }
       // Rebuild every version (here the base is the empty pre-stream state).
       val snap = snapOf(Nil, deltas.toSeq, stream.size)
+      assert(snap.batchSize === stream.size)
       val replayer = new SampleReplayer(snap)
       expected.zipWithIndex.foreach { case (want, v) =>
         replayer.advanceTo(v)
@@ -79,13 +80,26 @@ class VersionedSampleSpec extends AnyFunSuite {
     }
   }
 
-  test("triplet accessor round-trips the parallel arrays") {
-    val snap = VersionedSampleSnapshot(
-      Array.empty, Array.empty,
-      Array.empty, Array.empty, Array.empty, Array.empty,
-      Array(1L), Array(2L), Array(true),
-      Array(10L), Array(1L), Array(2L), k = 5)
-    assert(snap.triplet(0) === VersionTriplet(10L, 1L, 2L))
-    assert(snap.batchSize === 1)
+  test("advanceBatch records each edge's triplet and element before its update") {
+    val stream = repro.TestGraphs.randomStream(12, 12, 120, 0.3, 31L)
+    val (prefix, batch) = stream.splitAt(40)
+    val seq = new Abacus(k = 10, seed = 4L)
+    seq.processAll(prefix)
+    val core = new Abacus(k = 10, seed = 4L)
+    core.processAll(prefix)
+    val snap = core.advanceBatch(batch)
+    assert(snap.batchSize === batch.size)
+    assert(snap.baseLeft.zip(snap.baseRight).map { case (l, r) => Edge(l, r) }.toSet ===
+      seq.rp.sample.snapshotEdges().toSet)
+    batch.zipWithIndex.foreach { case (el, i) =>
+      assert((snap.tripletEdges(i), snap.tripletCb(i), snap.tripletCg(i)) ===
+        ((seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg)), s"edge $i")
+      assert((snap.elemLeft(i), snap.elemRight(i), snap.elemIsInsert(i)) ===
+        ((el.edge.left, el.edge.right, el.isInsert)), s"edge $i")
+      seq.process(el)
+    }
+    assert((core.rp.streamEdgeCount, core.rp.cb, core.rp.cg) ===
+      ((seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg)))
+    assert(core.rp.sample.snapshotEdges().toSet === seq.rp.sample.snapshotEdges().toSet)
   }
 }
