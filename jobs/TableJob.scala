@@ -16,8 +16,18 @@ object TableJob {
       System.err.println(s"usage: TableJob <${Tables.all.map(_.name).mkString("|")}>")
       sys.exit(2)
     }
-    // Only the tables that run PARABACUS start a session.
-    lazy val spark = JobUtil.session(table.name)
+    // Only the tables that run PARABACUS start a session, configured as the
+    // tests configure theirs.
+    lazy val spark = {
+      val s = SparkSession.builder()
+        .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+        .appName(table.name)
+        .config("spark.ui.enabled", false)
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+      s.sparkContext.setLogLevel("WARN")
+      s
+    }
     try table.run(spark)
     finally SparkSession.getDefaultSession.foreach(_.stop())
   }

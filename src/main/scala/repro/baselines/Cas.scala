@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.util.SplittableRandom
-import repro.core.{AdjacencySample, ButterflyCounter, DiscoveryProbability, StreamElement}
+import repro.core.{AdjacencySample, ButterflyCounter, DiscoveryProbability, RandomPairing, StreamElement}
 
 /** CAS-R (Li et al., TKDE'22, "Approximately Counting Butterflies in Large
   * Bipartite Graph Streams") — the insert-only sampling+sketching baseline.
@@ -16,7 +16,9 @@ import repro.core.{AdjacencySample, ButterflyCounter, DiscoveryProbability, Stre
   * datasets (§VI-C) — and (b) refines the estimate with the butterflies the
   * edge forms with the reservoir, scaled by the reciprocal of the
   * probability that the three older edges are all sampled (the insert-only
-  * special case of Eq. 1).
+  * special case of Eq. 1). Without deletions Random Pairing *is* reservoir
+  * sampling (Gemulla et al.), so the reservoir is a [[RandomPairing]] that
+  * only ever sees insertions.
   *
   * **Deletions are ignored**, as in FLEET.
   */
@@ -28,7 +30,7 @@ final class Cas(val k: Int, lambda: Double, seed: Long) {
   val reservoirCapacity: Int = math.max(2, ((1.0 - lambda) * k).toInt)
 
   private val reservoir = new AdjacencySample
-  private val rng = new SplittableRandom(seed)
+  private val rp = new RandomPairing(reservoirCapacity, reservoir, new SplittableRandom(seed))
   private val sketch = {
     // λ·k counters arranged as 5 rows (median of five row estimates).
     val rows = 5
@@ -36,7 +38,6 @@ final class Cas(val k: Int, lambda: Double, seed: Long) {
     new AmsSketch(rows, cols, seed ^ 0x5DEECE66DL)
   }
 
-  private var seen: Long = 0L // insertions observed
   private var est: Double = 0.0
   private var skippedDeletions: Long = 0L
 
@@ -59,20 +60,12 @@ final class Cas(val k: Int, lambda: Double, seed: Long) {
     if (reservoir.contains(e)) return
     // Sketch update: co-affiliation key = the edge identity.
     sketch.update(e.left * 0x9E3779B97F4A7C15L + e.right)
-    // Pr(3 specific older edges sampled) for a size-c reservoir over `seen`
-    // insertions — the cb=cg=0 case of Eq. 1.
+    // Pr(3 specific older edges sampled) for a size-c reservoir over the
+    // insertions seen so far — the cb=cg=0 case of Eq. 1.
     val r = ButterflyCounter.countForEdge(reservoir, e.left, e.right)
-    if (r.butterflies > 0) {
-      val p = DiscoveryProbability(seen, 0, 0, reservoirCapacity)
-      est += r.butterflies / p
-    }
-    seen += 1
-    // Classic reservoir sampling over insertions.
-    if (reservoir.size < reservoirCapacity) reservoir.add(e)
-    else if (rng.nextDouble() < reservoirCapacity.toDouble / seen) {
-      reservoir.remove(reservoir.randomEdge(rng))
-      reservoir.add(e)
-    }
+    if (r.butterflies > 0)
+      est += r.butterflies / DiscoveryProbability(rp.streamEdgeCount, 0, 0, reservoirCapacity)
+    rp.insert(e)
   }
 
   /** Process a whole stream. */

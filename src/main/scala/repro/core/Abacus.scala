@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.SplittableRandom
-import scala.collection.mutable.ArrayBuffer
 
 /** ABACUS (Algorithm 1): approximate butterfly counting over a fully
   * dynamic bipartite graph stream.
@@ -13,16 +12,16 @@ import scala.collection.mutable.ArrayBuffer
   * elements (Theorems 3, 4).
   *
   * This class is the only owner of the sampler and estimator state.
-  * [[ParAbacus]] drives the same state a mini-batch at a time: it advances
-  * the sampler over the batch first ([[advanceBatch]]), counts the batch in
-  * parallel against the recorded versions, then adds the partial counts
-  * back ([[addPartials]]).
+  * [[ParAbacus]] extends it and drives the same state a mini-batch at a
+  * time: it advances the sampler over the batch first ([[advanceBatch]]),
+  * counts the batch in parallel against the recorded versions, then adds
+  * the partial counts back ([[addPartials]]).
   *
   * @param k    memory budget: maximum number of sampled edges (≥ 2)
   * @param seed seed for the sampling RNG — runs are deterministic in
   *             (stream, k, seed), which the PARABACUS equivalence tests rely on
   */
-final class Abacus(val k: Int, seed: Long) {
+class Abacus(val k: Int, seed: Long) {
   private val sample = new AdjacencySample
   /** The Random Pairing sampler over `sample`: |E|, c_b, c_g and S. */
   private[core] val rp = new RandomPairing(k, sample, new SplittableRandom(seed))
@@ -49,13 +48,18 @@ final class Abacus(val k: Int, seed: Long) {
 
   /** Process one stream element: refine the count, then update the sample. */
   def process(el: StreamElement): Unit = {
-    // Increment uses the RP state *before* this element's sample update
-    // (Appendix B uses p^{(s-1)}).
-    tally.countEdge(sample, el.edge.left, el.edge.right, el.sign,
-      rp.streamEdgeCount, rp.cb, rp.cg, k)
+    tally.countEdge(sample, el.edge.left, el.edge.right, weight(el))
     rp.apply(el)
     processedCount += 1
   }
+
+  /** Algorithm 1, line 6: the weight `sgn(δ)/Pr(|E|, c_b, c_g)` of each
+    * butterfly `el` forms. Evaluate it *before* `rp.apply(el)`: the
+    * increment uses the RP state before this element's sample update
+    * (Appendix B uses p^{(s-1)}).
+    */
+  private def weight(el: StreamElement): Double =
+    DiscoveryProbability.increment(el.sign, rp.streamEdgeCount, rp.cb, rp.cg, k)
 
   /** Process a whole stream (convenience for tests and benchmarks). */
   def processAll(stream: IterableOnce[StreamElement]): Double = {
@@ -65,36 +69,25 @@ final class Abacus(val k: Int, seed: Long) {
 
   /** PARABACUS phase 1: advance the sampler over a whole mini-batch without
     * counting, and record every sample version the batch's edges observe —
-    * S_0 plus the deltas each update makes, and the `{s, c_b, c_g}` triplet
-    * before each update (O(M) time, O(k+M) space; Theorems 6, 7). The
+    * S_0 plus the deltas each update makes — and each edge's [[weight]]
+    * before its update (O(M) time, O(k+M) space; Theorems 6, 7). The
     * counting is left to [[addPartials]].
     */
   private[core] def advanceBatch(batch: IndexedSeq[StreamElement]): VersionedSampleSnapshot = {
     val m = batch.length
     val baseEdges = sample.snapshotEdges()
-    val baseLeft = new Array[Long](baseEdges.length)
-    val baseRight = new Array[Long](baseEdges.length)
-    var b = 0
-    while (b < baseEdges.length) {
-      baseLeft(b) = baseEdges(b).left; baseRight(b) = baseEdges(b).right
-      b += 1
-    }
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
-    val elemIns = new Array[Boolean](m)
-    val tEdges = new Array[Long](m)
-    val tCb = new Array[Long](m)
-    val tCg = new Array[Long](m)
-    val dVer = ArrayBuffer.empty[Int]
-    val dAdd = ArrayBuffer.empty[Boolean]
-    val dLeft = ArrayBuffer.empty[Long]
-    val dRight = ArrayBuffer.empty[Long]
+    val weights = new Array[Double](m)
+    val dVer = Array.newBuilder[Int]
+    val dAdd = Array.newBuilder[Boolean]
+    val dLeft = Array.newBuilder[Long]
+    val dRight = Array.newBuilder[Long]
     var i = 0
     while (i < m) {
       val el = batch(i)
       elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
-      elemIns(i) = el.isInsert
-      tEdges(i) = rp.streamEdgeCount; tCb(i) = rp.cb; tCg(i) = rp.cg
+      weights(i) = weight(el)
       // Updates of edge i become visible at version i+1.
       rp.apply(el).foreach { d =>
         dVer += i + 1
@@ -105,10 +98,9 @@ final class Abacus(val k: Int, seed: Long) {
       i += 1
     }
     VersionedSampleSnapshot(
-      baseLeft, baseRight,
-      dVer.toArray, dAdd.toArray, dLeft.toArray, dRight.toArray,
-      elemLeft, elemRight, elemIns,
-      tEdges, tCb, tCg, k)
+      baseEdges.map(_.left), baseEdges.map(_.right),
+      dVer.result(), dAdd.result(), dLeft.result(), dRight.result(),
+      elemLeft, elemRight, weights)
   }
 
   /** PARABACUS phase 3: add the partial counts of a batch advanced by
@@ -134,16 +126,15 @@ object Abacus {
     var found: Long = 0L
 
     /** Algorithm 1, lines 5–11, for one edge `{u, v}`: count the butterflies
-      * it forms with `view`, and add each with weight `sgn(δ)/Pr(|E|, c_b, c_g)`
-      * for the Random Pairing state (`numEdges`, `cb`, `cg`) that `view` is
-      * a sample of.
+      * it forms with `view`, and add each with `weight`, the edge's
+      * `sgn(δ)/Pr(|E|, c_b, c_g)` for the Random Pairing state that `view`
+      * is a sample of.
       */
-    def countEdge(view: AdjView, u: Long, v: Long, sign: Int,
-                  numEdges: Long, cb: Long, cg: Long, k: Int): Unit = {
+    def countEdge(view: AdjView, u: Long, v: Long, weight: Double): Unit = {
       val r = ButterflyCounter.countForEdge(view, u, v)
       work += r.work
       if (r.butterflies > 0) {
-        estimate += r.butterflies * DiscoveryProbability.increment(sign, numEdges, cb, cg, k)
+        estimate += r.butterflies * weight
         found += r.butterflies
       }
     }

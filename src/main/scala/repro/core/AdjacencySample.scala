@@ -22,16 +22,6 @@ trait AdjView {
   def rightDegree(v: Long): Int = rightNeighbors(v).size
 }
 
-/** A mutation applied to the graph sample S.
-  *
-  * Random Pairing emits these so that PARABACUS can record the
-  * *discrepancies* between consecutive sample versions (§V-A) instead of
-  * materialising every version.
-  */
-sealed trait SampleDelta extends Serializable { def edge: Edge }
-final case class AddToSample(edge: Edge)      extends SampleDelta
-final case class RemoveFromSample(edge: Edge) extends SampleDelta
-
 /** Mutable bipartite edge sample stored as adjacency lists (the paper stores
   * sampled edges "using the adjacency list format", §VI-A).
   *
@@ -59,24 +49,22 @@ final class AdjacencySample extends AdjView {
   /** Whether edge `e` is currently sampled. */
   def contains(e: Edge): Boolean = edgePos.contains(e)
 
-  /** Add edge `e`; returns the delta applied. `e` must not be present. */
-  def add(e: Edge): SampleDelta = {
+  /** Add edge `e`, which must not be present. */
+  def add(e: Edge): Unit = {
     require(!edgePos.contains(e), s"edge $e already in sample")
     edgePos(e) = edges.length
     edges += e
     adjL.getOrElseUpdate(e.left, mutable.HashSet.empty) += e.right
     adjR.getOrElseUpdate(e.right, mutable.HashSet.empty) += e.left
-    AddToSample(e)
   }
 
-  /** Remove edge `e`; returns the delta applied. `e` must be present. */
-  def remove(e: Edge): SampleDelta = {
+  /** Remove edge `e`, which must be present. */
+  def remove(e: Edge): Unit = {
     val pos = edgePos.remove(e).getOrElse(sys.error(s"edge $e not in sample"))
     val last = edges.remove(edges.length - 1)
     if (pos < edges.length) { edges(pos) = last; edgePos(last) = pos }
     removeFromAdj(adjL, e.left, e.right)
     removeFromAdj(adjR, e.right, e.left)
-    RemoveFromSample(e)
   }
 
   private def removeFromAdj(adj: mutable.HashMap[Long, mutable.HashSet[Long]],

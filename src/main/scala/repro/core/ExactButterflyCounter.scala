@@ -23,9 +23,6 @@ final class ExactButterflyCounter {
   /** Number of live edges |E^(t)|. */
   def edgeCount: Long = graph.size.toLong
 
-  /** Whether `{l, r}` is currently an edge of the graph. */
-  def containsEdge(l: Long, r: Long): Boolean = graph.contains(Edge(l, r))
-
   /** Read-only adjacency view of the full graph. */
   def view: AdjView = graph
 

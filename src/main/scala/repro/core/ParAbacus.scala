@@ -13,44 +13,35 @@ import org.apache.spark.sql.SparkSession
 final case class PartitionCount(partition: Int, partialCount: Double,
                                 work: Long, found: Long, edges: Int) extends Serializable
 
-/** PARABACUS (§V): the parallel mini-batch variant of ABACUS on Spark.
+/** PARABACUS (§V): the parallel mini-batch variant of ABACUS on Spark —
+  * the [[Abacus]] core plus a fan-out of its counting step.
   *
   * Per mini-batch of M edges it:
-  *  1. advances the [[Abacus]] core's Random Pairing sampler over the batch
-  *     on the driver, recording a [[VersionedSampleSnapshot]] — the
-  *     `{s,c_b,c_g}` triplet per version plus the sample-version *deltas*
-  *     (O(M) time, O(k+M) space; Theorems 6, 7);
+  *  1. advances the Random Pairing sampler over the batch on the driver,
+  *     recording a [[VersionedSampleSnapshot]] — each edge's Eq. 1 weight
+  *     plus the sample-version *deltas* (O(M) time, O(k+M) space;
+  *     Theorems 6, 7);
   *  2. broadcasts the snapshot and fans the per-edge butterfly counting out
   *     over `p` RDD partitions (the paper's p threads), each handling a
   *     contiguous equal-sized range of the batch against its own replayed
   *     sample versions;
-  *  3. adds the partial counts `c_0..c_{M-1}` into the core's estimate.
+  *  3. adds the partial counts `c_0..c_{M-1}` into the estimate.
   *
-  * Version consolidation is implicit: the core's sample was already
-  * advanced to version M during step 1 and serves as S_0 of the next batch.
+  * Version consolidation is implicit: the sample was already advanced to
+  * version M during step 1 and serves as S_0 of the next batch.
   *
   * Given the same (stream, k, seed), PARABACUS produces the same estimates
   * as [[Abacus]] (Theorem 5) up to floating-point summation order.
   *
   * @param numPartitions p, the parallelism of the counting phase
   */
-final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartitions: Int) {
+final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions: Int)
+    extends Abacus(k, seed) {
   require(numPartitions >= 1, "need at least one partition")
 
-  /** The sampler and estimator state; ABACUS over the same elements. */
-  private[core] val core = new Abacus(k, seed)
   private val sc = spark.sparkContext
   private val workByPartition = Array.fill(numPartitions)(0L)
   private val edgesByPartition = Array.fill(numPartitions)(0L)
-
-  /** Current butterfly count estimate c. */
-  def estimate: Double = core.estimate
-
-  /** Elements processed so far. */
-  def processed: Long = core.processed
-
-  /** Current sample size |S|. */
-  def sampleSize: Int = core.sampleSize
 
   /** Cumulative set-intersection probes per partition across all batches —
     * the data behind the load-balance table (Fig. 10).
@@ -65,9 +56,11 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
     if (batch.isEmpty) return Nil
 
     // Phase 1 (sequential, driver): advance the sampler, recording versions.
-    val bc = sc.broadcast(core.advanceBatch(batch))
+    val bc = sc.broadcast(advanceBatch(batch))
 
-    // Phase 2 (parallel): per-edge counting, edge i against version i.
+    // Phase 2 (parallel): per-edge counting, edge i against version i. The
+    // closure captures only `bc` and `p`: the sampler state in `this` stays
+    // on the driver and is not serializable.
     val p = numPartitions
     val results: Array[PartitionCount] =
       sc.parallelize(0 until p, p)
@@ -76,7 +69,7 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
     bc.destroy()
 
     // Phase 3: reduce partials in partition order (edge order overall).
-    core.addPartials(results)
+    addPartials(results)
     results.foreach { r =>
       workByPartition(r.partition) += r.work
       edgesByPartition(r.partition) += r.edges
@@ -110,9 +103,7 @@ object ParAbacus {
     var i = lo
     while (i < hi) {
       replayer.advanceTo(i)
-      tally.countEdge(replayer.view, snap.elemLeft(i), snap.elemRight(i),
-        if (snap.elemIsInsert(i)) 1 else -1,
-        snap.tripletEdges(i), snap.tripletCb(i), snap.tripletCg(i), snap.k)
+      tally.countEdge(replayer.view, snap.elemLeft(i), snap.elemRight(i), snap.weight(i))
       i += 1
     }
     PartitionCount(pid, tally.estimate, tally.work, tally.found, hi - lo)

@@ -3,6 +3,16 @@ package repro.core
 import java.util.SplittableRandom
 import scala.collection.immutable.ArraySeq
 
+/** A mutation Random Pairing applies to the graph sample S.
+  *
+  * [[Abacus.advanceBatch]] records these so that PARABACUS can store the
+  * *discrepancies* between consecutive sample versions (§V-A) instead of
+  * materialising every version.
+  */
+sealed trait SampleDelta extends Serializable { def edge: Edge }
+final case class AddToSample(edge: Edge)      extends SampleDelta
+final case class RemoveFromSample(edge: Edge) extends SampleDelta
+
 /** Random Pairing (Gemulla et al., VLDBJ'08) over an [[AdjacencySample]] —
   * Algorithm 2 of the paper.
   *
@@ -14,7 +24,8 @@ import scala.collection.immutable.ArraySeq
   *
   * Every mutation of the sample is returned as a sequence of [[SampleDelta]]s
   * so [[Abacus.advanceBatch]] can version the sample for PARABACUS;
-  * [[Abacus.process]] ignores them.
+  * [[Abacus.process]] ignores them. Without deletions `c_b = c_g = 0` and
+  * [[insert]] is classic reservoir sampling, which CAS-R drives directly.
   */
 final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: SplittableRandom) {
   require(k >= 2, s"memory budget k must be >= 2, got $k")
@@ -36,16 +47,17 @@ final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: Splittab
   def insert(e: Edge): Seq[SampleDelta] = {
     numEdges += 1
     if (cbCount + cgCount == 0) {
-      if (sample.size < k) {
-        ArraySeq(sample.add(e))
-      } else if (rng.nextDouble() < k.toDouble / numEdges) {
+      if (sample.size < k) add(e)
+      else if (rng.nextDouble() < k.toDouble / numEdges) {
         val victim = sample.randomEdge(rng)
-        ArraySeq(sample.remove(victim), sample.add(e))
+        sample.remove(victim)
+        sample.add(e)
+        ArraySeq(RemoveFromSample(victim), AddToSample(e))
       } else Nil
     } else {
       if (rng.nextDouble() < cbCount.toDouble / (cbCount + cgCount)) {
         cbCount -= 1
-        ArraySeq(sample.add(e))
+        add(e)
       } else {
         cgCount -= 1
         Nil
@@ -58,10 +70,16 @@ final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: Splittab
     numEdges -= 1
     if (sample.contains(e)) {
       cbCount += 1
-      ArraySeq(sample.remove(e))
+      sample.remove(e)
+      ArraySeq(RemoveFromSample(e))
     } else {
       cgCount += 1
       Nil
     }
+  }
+
+  private def add(e: Edge): Seq[SampleDelta] = {
+    sample.add(e)
+    ArraySeq(AddToSample(e))
   }
 }

@@ -9,6 +9,11 @@ package repro.core
   * version `deltaVersion(j)` onward; deltas are in creation order, so the
   * versions are non-decreasing.
   *
+  * The paper caches each version's `{s, c_b, c_g}` triplet only so that
+  * every thread can evaluate Eq. 1's increment `sgn(δ_i)/Pr(s_i, c_b,i, c_g,i)`;
+  * the driver already computes that number while it advances the sampler,
+  * so the snapshot carries it once per edge (`weight`) instead.
+  *
   * Everything is held in parallel primitive arrays — the snapshot is
   * broadcast once per mini-batch and boxed per-element serialization was
   * the dominant PARABACUS overhead.
@@ -19,11 +24,8 @@ final case class VersionedSampleSnapshot(
     // ordered sample deltas: visible-from version, add/remove flag, edge
     deltaVersion: Array[Int], deltaIsAdd: Array[Boolean],
     deltaLeft: Array[Long], deltaRight: Array[Long],
-    // the mini-batch elements, in arrival order
-    elemLeft: Array[Long], elemRight: Array[Long], elemIsInsert: Array[Boolean],
-    // per-version {s, c_b, c_g} triplets
-    tripletEdges: Array[Long], tripletCb: Array[Long], tripletCg: Array[Long],
-    k: Int,
+    // the mini-batch edges, in arrival order, and each one's Eq. 1 increment
+    elemLeft: Array[Long], elemRight: Array[Long], weight: Array[Double],
 ) extends Serializable {
   /** Mini-batch size M. */
   def batchSize: Int = elemLeft.length

@@ -23,6 +23,10 @@ object Experiments {
     case other    => sys.error(s"unknown algorithm $other")
   }
 
+  /** JIT warm-up before timing: ABACUS over the first 20K elements. */
+  private def warmUp(k: Int, seed: Long, stream: Seq[StreamElement]): Unit =
+    runAlgorithm("abacus", k, seed, stream.take(20000))
+
   // ------------------------------------------------------------------
   // T3 / T5 — accuracy (Fig. 3 with α=20%, Fig. 5 with α=0%).
   // ------------------------------------------------------------------
@@ -30,13 +34,12 @@ object Experiments {
   final case class AccuracyRow(dataset: String, k: Int, algorithm: String,
                                relError: Double)
 
-  /** Mean relative error over `trials` seeded runs, per (dataset, k, alg). */
-  def accuracy(datasets: Seq[LiteDataset], ks: Seq[Int], alpha: Double,
-               trials: Int, seedBase: Long = 100L): Seq[AccuracyRow] =
+  /** Mean relative error over `trials` seeded runs, per (k, alg). */
+  def accuracy(d: LiteDataset, ks: Seq[Int], alpha: Double,
+               trials: Int, seedBase: Long = 100L): Seq[AccuracyRow] = {
+    val stream = d.stream(alpha)
+    val truth = d.exactFinalCount(alpha).toDouble
     for {
-      d <- datasets
-      stream = d.stream(alpha)
-      truth = d.exactFinalCount(alpha).toDouble
       k <- ks
       alg <- Algorithms
     } yield {
@@ -46,6 +49,7 @@ object Experiments {
       }
       AccuracyRow(d.name, k, alg, Metrics.mean(errs))
     }
+  }
 
   // ------------------------------------------------------------------
   // T4 — throughput (Fig. 4).
@@ -57,32 +61,29 @@ object Experiments {
   /** Throughput of the single-threaded algorithms plus ABACUS on the
     * insertions only ("Ins-only") and PARABACUS with `miniBatch`/`partitions`.
     */
-  def throughputAll(spark: SparkSession, datasets: Seq[LiteDataset],
+  def throughputAll(spark: SparkSession, d: LiteDataset,
                     ks: Seq[Int], alpha: Double, miniBatch: Int,
-                    partitions: Int, seed: Long = 42L): Seq[ThroughputRow] =
-    for {
-      d <- datasets
-      stream = d.stream(alpha)
-      insOnly = stream.filter(_.isInsert)
-      k <- ks
-      row <- {
-        // Warm up JIT paths on a prefix before timing; report the best of
-        // two timed runs so a stray GC pause cannot distort a rate.
-        runAlgorithm("abacus", k, seed, stream.take(math.min(20000, stream.size)))
-        val singles = Algorithms.map { alg =>
-          val ns = Metrics.timedMinNanos(2)(runAlgorithm(alg, k, seed, stream))
-          ThroughputRow(d.name, k, alg, Metrics.throughput(stream.size.toLong, ns))
-        }
-        val insNs = Metrics.timedMinNanos(2)(runAlgorithm("abacus", k, seed, insOnly))
-        val insRow = ThroughputRow(d.name, k, "abacus-ins-only",
-          Metrics.throughput(insOnly.size.toLong, insNs))
-        val paNs = Metrics.timedMinNanos(2)(
-          new ParAbacus(k, seed, spark, partitions).processAll(stream, miniBatch))
-        val paRow = ThroughputRow(d.name, k, s"parabacus(M=$miniBatch,p=$partitions)",
-          Metrics.throughput(stream.size.toLong, paNs))
-        singles :+ insRow :+ paRow
+                    partitions: Int, seed: Long = 42L): Seq[ThroughputRow] = {
+    val stream = d.stream(alpha)
+    val insOnly = stream.filter(_.isInsert)
+    ks.flatMap { k =>
+      // Report the best of two timed runs so a stray GC pause cannot
+      // distort a rate.
+      warmUp(k, seed, stream)
+      val singles = Algorithms.map { alg =>
+        val ns = Metrics.timedMinNanos(2)(runAlgorithm(alg, k, seed, stream))
+        ThroughputRow(d.name, k, alg, Metrics.throughput(stream.size.toLong, ns))
       }
-    } yield row
+      val insNs = Metrics.timedMinNanos(2)(runAlgorithm("abacus", k, seed, insOnly))
+      val insRow = ThroughputRow(d.name, k, "abacus-ins-only",
+        Metrics.throughput(insOnly.size.toLong, insNs))
+      val paNs = Metrics.timedMinNanos(2)(
+        new ParAbacus(k, seed, spark, partitions).processAll(stream, miniBatch))
+      val paRow = ThroughputRow(d.name, k, s"parabacus(M=$miniBatch,p=$partitions)",
+        Metrics.throughput(stream.size.toLong, paNs))
+      singles :+ insRow :+ paRow
+    }
+  }
 
   // ------------------------------------------------------------------
   // T6 — impact of deletion ratio α (Fig. 6).
@@ -91,15 +92,12 @@ object Experiments {
   final case class DeletionImpactRow(dataset: String, alpha: Double,
                                      relError: Double, edgesPerSec: Double)
 
-  def deletionImpact(datasets: Seq[LiteDataset], alphas: Seq[Double], k: Int,
+  def deletionImpact(d: LiteDataset, alphas: Seq[Double], k: Int,
                      trials: Int, seedBase: Long = 300L): Seq[DeletionImpactRow] =
-    for {
-      d <- datasets
-      alpha <- alphas
-    } yield {
+    alphas.map { alpha =>
       val stream = d.stream(alpha)
       val truth = d.exactFinalCount(alpha).toDouble
-      runAlgorithm("abacus", k, seedBase, stream.take(math.min(20000, stream.size)))
+      warmUp(k, seedBase, stream)
       val runs = (0 until trials).map { t =>
         val a = new Abacus(k, seedBase + 104729L * t)
         val (_, ns) = Metrics.timed(a.processAll(stream))
@@ -123,33 +121,30 @@ object Experiments {
     * The sweep runs twice and reports the per-decile minimum of the
     * cumulative times, so one GC pause cannot bend the linearity curve.
     */
-  def scalability(datasets: Seq[LiteDataset], ks: Seq[Int], alpha: Double,
-                  seed: Long = 500L): Seq[ScalabilityRow] =
-    for {
-      d <- datasets
-      stream = d.stream(alpha)
-      k <- ks
-      row <- {
-        runAlgorithm("abacus", k, seed, stream.take(math.min(20000, stream.size)))
-        val n = stream.size
-        def sweep(): IndexedSeq[Long] = {
-          val a = new Abacus(k, seed)
-          var elapsed = 0L
-          (1 to 10).map { decile =>
-            val from = (n.toLong * (decile - 1) / 10).toInt
-            val until = (n.toLong * decile / 10).toInt
-            val (_, ns) = Metrics.timed {
-              var i = from
-              while (i < until) { a.process(stream(i)); i += 1 }
-            }
-            elapsed += ns
-            elapsed
+  def scalability(d: LiteDataset, ks: Seq[Int], alpha: Double,
+                  seed: Long = 500L): Seq[ScalabilityRow] = {
+    val stream = d.stream(alpha)
+    val n = stream.size
+    ks.flatMap { k =>
+      warmUp(k, seed, stream)
+      def sweep(): IndexedSeq[Long] = {
+        val a = new Abacus(k, seed)
+        var elapsed = 0L
+        (1 to 10).map { decile =>
+          val from = (n.toLong * (decile - 1) / 10).toInt
+          val until = (n.toLong * decile / 10).toInt
+          val (_, ns) = Metrics.timed {
+            var i = from
+            while (i < until) { a.process(stream(i)); i += 1 }
           }
+          elapsed += ns
+          elapsed
         }
-        val best = sweep().zip(sweep()).map { case (x, y) => math.min(x, y) }
-        (1 to 10).map(dc => ScalabilityRow(d.name, k, dc * 10, best(dc - 1) / 1e6))
       }
-    } yield row
+      val best = sweep().zip(sweep()).map { case (x, y) => math.min(x, y) }
+      (1 to 10).map(dc => ScalabilityRow(d.name, k, dc * 10, best(dc - 1) / 1e6))
+    }
+  }
 
   // ------------------------------------------------------------------
   // T8 / T9 — PARABACUS speedup (Figs. 8, 9).
@@ -171,30 +166,26 @@ object Experiments {
     * [[SpeedupStreamCap]] elements. Both sides take the best of two timed
     * runs (except the overhead-dominated M<2000 configurations).
     */
-  def speedup(spark: SparkSession, datasets: Seq[LiteDataset], ks: Seq[Int],
+  def speedup(spark: SparkSession, d: LiteDataset, ks: Seq[Int],
               miniBatches: Seq[Int], partitionCounts: Seq[Int], alpha: Double,
-              seed: Long = 700L): Seq[SpeedupRow] =
-    for {
-      d <- datasets
-      stream = d.stream(alpha).take(SpeedupStreamCap)
-      k <- ks
-      row <- {
-        // Warm both code paths.
-        runAlgorithm("abacus", k, seed, stream.take(math.min(20000, stream.size)))
-        new ParAbacus(k, seed, spark, 2)
-          .processAll(stream.take(math.min(20000, stream.size)), 2000)
-        val seqNs = Metrics.timedMinNanos(2)(new Abacus(k, seed).processAll(stream))
-        for {
-          m <- miniBatches
-          p <- partitionCounts
-        } yield {
-          val reps = if (m >= 2000) 2 else 1
-          val parNs = Metrics.timedMinNanos(reps)(
-            new ParAbacus(k, seed, spark, p).processAll(stream, m))
-          SpeedupRow(d.name, k, m, p, seqNs / 1e6, parNs / 1e6)
-        }
+              seed: Long = 700L): Seq[SpeedupRow] = {
+    val stream = d.stream(alpha).take(SpeedupStreamCap)
+    ks.flatMap { k =>
+      // Warm both code paths.
+      warmUp(k, seed, stream)
+      new ParAbacus(k, seed, spark, 2).processAll(stream.take(20000), 2000)
+      val seqNs = Metrics.timedMinNanos(2)(new Abacus(k, seed).processAll(stream))
+      for {
+        m <- miniBatches
+        p <- partitionCounts
+      } yield {
+        val reps = if (m >= 2000) 2 else 1
+        val parNs = Metrics.timedMinNanos(reps)(
+          new ParAbacus(k, seed, spark, p).processAll(stream, m))
+        SpeedupRow(d.name, k, m, p, seqNs / 1e6, parNs / 1e6)
       }
-    } yield row
+    }
+  }
 
   // ------------------------------------------------------------------
   // T10 — per-partition workload (Fig. 10).
@@ -204,17 +195,13 @@ object Experiments {
                            edges: Long)
 
   /** Set-intersection probes accumulated per partition over the stream. */
-  def loadBalance(spark: SparkSession, datasets: Seq[LiteDataset], k: Int,
+  def loadBalance(spark: SparkSession, d: LiteDataset, k: Int,
                   miniBatch: Int, partitions: Int, alpha: Double,
-                  seed: Long = 900L): Seq[LoadRow] =
-    for {
-      d <- datasets
-      row <- {
-        val pa = new ParAbacus(k, seed, spark, partitions)
-        pa.processAll(d.stream(alpha), miniBatch)
-        pa.workPerPartition.zip(pa.edgesPerPartition).zipWithIndex.map {
-          case ((w, e), pid) => LoadRow(d.name, pid, w, e)
-        }
-      }
-    } yield row
+                  seed: Long = 900L): Seq[LoadRow] = {
+    val pa = new ParAbacus(k, seed, spark, partitions)
+    pa.processAll(d.stream(alpha), miniBatch)
+    pa.workPerPartition.zip(pa.edgesPerPartition).zipWithIndex.map {
+      case ((w, e), pid) => LoadRow(d.name, pid, w, e)
+    }
+  }
 }

@@ -57,7 +57,7 @@ object Tables {
     val trials = 5
     def header: Seq[String] = Seq("dataset", "k") ++ Algorithms
     protected def rows(spark: => SparkSession): Seq[AccuracyRow] =
-      datasets.flatMap(d => accuracy(Seq(d), d.sampleSizes, alpha, trials))
+      datasets.flatMap(d => accuracy(d, d.sampleSizes, alpha, trials))
     protected def cells(rows: Seq[AccuracyRow]): Seq[Seq[String]] =
       perDatasetAndK(rows)(r => (r.dataset, r.k)).map { case ((d, k), rs) =>
         val byAlg = rs.map(r => r.algorithm -> r.relError).toMap
@@ -81,7 +81,7 @@ object Tables {
     def header: Seq[String] = Seq("dataset", "k", "abacus(ins+del)", "abacus(ins-only)",
       "fleet", "cas", "parabacus")
     protected def rows(spark: => SparkSession): Seq[ThroughputRow] =
-      datasets.flatMap(d => throughputAll(spark, Seq(d), d.sampleSizes, alpha, miniBatch, partitions))
+      datasets.flatMap(d => throughputAll(spark, d, d.sampleSizes, alpha, miniBatch, partitions))
     protected def cells(rows: Seq[ThroughputRow]): Seq[Seq[String]] =
       perDatasetAndK(rows)(r => (r.dataset, r.k)).map { case ((d, k), rs) =>
         def of(alg: String) = rs.find(_.algorithm == alg).map(_.edgesPerSec).getOrElse(0.0)
@@ -100,7 +100,7 @@ object Tables {
     def k(d: LiteDataset): Int = d.m / 50
     def header: Seq[String] = Seq("dataset", "alpha", "rel-error", "throughput [edges/s]")
     protected def rows(spark: => SparkSession): Seq[DeletionImpactRow] =
-      datasets.flatMap(d => deletionImpact(Seq(d), alphas, k(d), trials))
+      datasets.flatMap(d => deletionImpact(d, alphas, k(d), trials))
     protected def cells(rows: Seq[DeletionImpactRow]): Seq[Seq[String]] =
       rows.map(r => Seq(r.dataset, TablePrinter.pct(r.alpha),
         TablePrinter.pct(r.relError), TablePrinter.sci(r.edgesPerSec)))
@@ -112,13 +112,11 @@ object Tables {
     val alpha = 0.2
     def header: Seq[String] = Seq("dataset", "k") ++ (1 to 10).map(dc => s"${dc * 10}%")
     protected def rows(spark: => SparkSession): Seq[ScalabilityRow] =
-      datasets.flatMap(d => scalability(Seq(d), d.sampleSizes, alpha))
+      datasets.flatMap(d => scalability(d, d.sampleSizes, alpha))
     protected def cells(rows: Seq[ScalabilityRow]): Seq[Seq[String]] =
-      rows.groupBy(r => (r.dataset, r.k)).toSeq.sortBy { case ((d, k), _) => (d, k) }
-        .map { case ((d, k), rs) =>
-          Seq(d, k.toString) ++
-            rs.sortBy(_.fractionPct).map(r => TablePrinter.dbl(r.elapsedMs))
-        }
+      perDatasetAndK(rows)(r => (r.dataset, r.k)).map { case ((d, k), rs) =>
+        Seq(d, k.toString) ++ rs.sortBy(_.fractionPct).map(r => TablePrinter.dbl(r.elapsedMs))
+      }
   }
 
   /** Speedup per (dataset, k): sequential time, then one column per value
@@ -140,7 +138,7 @@ object Tables {
     def header: Seq[String] = Seq("dataset", "k", "seq [ms]") ++ miniBatches.map(m => s"M=$m")
     protected def rows(spark: => SparkSession): Seq[SpeedupRow] =
       datasets.flatMap(d =>
-        speedup(spark, Seq(d), d.speedupSampleSizes, miniBatches, Seq(partitions), alpha))
+        speedup(spark, d, d.speedupSampleSizes, miniBatches, Seq(partitions), alpha))
     protected def cells(rows: Seq[SpeedupRow]): Seq[Seq[String]] =
       speedupCells(rows, miniBatches, _.miniBatch)
   }
@@ -154,7 +152,7 @@ object Tables {
     def header: Seq[String] = Seq("dataset", "k", "seq [ms]") ++ partitions.map(p => s"p=$p")
     protected def rows(spark: => SparkSession): Seq[SpeedupRow] =
       datasets.flatMap(d =>
-        speedup(spark, Seq(d), d.speedupSampleSizes, Seq(miniBatch), partitions, alpha))
+        speedup(spark, d, d.speedupSampleSizes, Seq(miniBatch), partitions, alpha))
     protected def cells(rows: Seq[SpeedupRow]): Seq[Seq[String]] =
       speedupCells(rows, partitions, _.partitions)
   }
@@ -169,7 +167,7 @@ object Tables {
     def k(d: LiteDataset): Int = d.m / 10
     def header: Seq[String] = Seq("dataset", "partition", "checks", "edges")
     protected def rows(spark: => SparkSession): Seq[LoadRow] =
-      datasets.flatMap(d => loadBalance(spark, Seq(d), k(d), miniBatch, partitions, alpha))
+      datasets.flatMap(d => loadBalance(spark, d, k(d), miniBatch, partitions, alpha))
     protected def cells(rows: Seq[LoadRow]): Seq[Seq[String]] =
       rows.map(r => Seq(r.dataset, r.partition.toString, r.work.toString,
         r.edges.toString))

@@ -1,7 +1,7 @@
 package repro.streaming
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.streaming.{DataStreamWriter, StreamingQuery, Trigger}
+import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
 import repro.core.{Edge, ParAbacus, StreamElement}
 
 /** Structured Streaming ingestion for PARABACUS.
@@ -27,8 +27,10 @@ object StructuredParAbacus {
       }
       .toIndexedSeq
 
-  /** Wire a streaming DataFrame into `pa` via `foreachBatch`. */
-  def writer(stream: DataFrame, pa: ParAbacus): DataStreamWriter[Row] =
+  /** Wire a streaming DataFrame into `pa` via `foreachBatch` and start the
+    * query (caller owns its lifecycle).
+    */
+  def start(stream: DataFrame, pa: ParAbacus): StreamingQuery =
     stream.writeStream
       .outputMode("append")
       .trigger(Trigger.ProcessingTime(0L))
@@ -37,8 +39,5 @@ object StructuredParAbacus {
         if (els.nonEmpty) pa.processBatch(els)
         ()
       }
-
-  /** Start the query (caller owns its lifecycle). */
-  def start(stream: DataFrame, pa: ParAbacus): StreamingQuery =
-    writer(stream, pa).start()
+      .start()
 }

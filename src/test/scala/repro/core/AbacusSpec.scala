@@ -123,14 +123,16 @@ class AbacusSpec extends AnyFunSuite {
     Fig1b.sampleEdges.foreach(view.add)
     val probes = ButterflyCounter.countForEdge(view, Fig1b.u, Fig1b.v).work
     val tally = new Abacus.Tally
+    def weight(sign: Int) =
+      DiscoveryProbability.increment(sign, numEdges = 10L, cb = 1L, cg = 2L, k = 5)
     // Deletion with |E|=10, c_b=1, c_g=2, k=5: Pr = 5/13 · 4/12 · 3/11.
-    tally.countEdge(view, Fig1b.u, Fig1b.v, sign = -1, numEdges = 10L, cb = 1L, cg = 2L, k = 5)
+    tally.countEdge(view, Fig1b.u, Fig1b.v, weight(-1))
     assert(math.abs(tally.estimate + 13.0 * 12 * 11 / (5 * 4 * 3)) < 1e-9)
     assert(tally.found === Fig1b.expectedButterflies)
     assert(tally.work === probes)
     // The matching insertion cancels it; an edge without butterflies adds nothing.
-    tally.countEdge(view, Fig1b.u, Fig1b.v, sign = 1, numEdges = 10L, cb = 1L, cg = 2L, k = 5)
-    tally.countEdge(view, 99L, 99L, sign = 1, numEdges = 10L, cb = 1L, cg = 2L, k = 5)
+    tally.countEdge(view, Fig1b.u, Fig1b.v, weight(1))
+    tally.countEdge(view, 99L, 99L, weight(1))
     assert(tally.estimate === 0.0)
     assert(tally.found === 2 * Fig1b.expectedButterflies)
     assert(tally.work === 2 * probes)

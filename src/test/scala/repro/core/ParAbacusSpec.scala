@@ -98,12 +98,11 @@ class ParAbacusSpec extends SparkSpec {
     stream.grouped(40).zipWithIndex.foreach { case (batch, j) =>
       seq.processAll(batch)
       par.processBatch(batch)
-      val core = par.core
       assertSameEstimate(seq.estimate, par.estimate, s"batch $j")
-      assert((core.totalWork, core.totalFound) === ((seq.totalWork, seq.totalFound)), s"batch $j")
-      assert((core.rp.streamEdgeCount, core.rp.cb, core.rp.cg) ===
+      assert((par.totalWork, par.totalFound) === ((seq.totalWork, seq.totalFound)), s"batch $j")
+      assert((par.rp.streamEdgeCount, par.rp.cb, par.rp.cg) ===
         ((seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg)), s"batch $j")
-      assert(core.rp.sample.snapshotEdges().toSet === seq.rp.sample.snapshotEdges().toSet,
+      assert(par.rp.sample.snapshotEdges().toSet === seq.rp.sample.snapshotEdges().toSet,
         s"batch $j")
       assert(par.processed === seq.processed, s"batch $j")
     }

@@ -10,8 +10,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       base.map(_.left).toArray, base.map(_.right).toArray,
       deltas.map(_._1).toArray, deltas.map(_._2).toArray,
       deltas.map(_._3.left).toArray, deltas.map(_._3.right).toArray,
-      new Array[Long](m), new Array[Long](m), new Array[Boolean](m),
-      new Array[Long](m), new Array[Long](m), new Array[Long](m), k = 100)
+      new Array[Long](m), new Array[Long](m), new Array[Double](m))
 
   test("replayer at version 0 exposes exactly the base sample") {
     val snap = snapOf(Seq(Edge(1L, 1L), Edge(2L, 2L)),
@@ -63,24 +62,36 @@ class VersionedSampleSpec extends AnyFunSuite {
         }
         expected += sample.snapshotEdges().toSet
       }
+      // Every left vertex of the stream has exactly the version's neighbours.
+      val lefts = stream.map(_.edge.left).toSet
+      def assertVersion(r: SampleReplayer, want: Set[Edge], clue: String): Unit =
+        lefts.foreach { l =>
+          assert(r.view.leftNeighbors(l) === want.filter(_.left == l).map(_.right),
+            s"trial $trial $clue vertex $l")
+        }
       // Rebuild every version (here the base is the empty pre-stream state).
       val snap = snapOf(Nil, deltas.toSeq, stream.size)
       assert(snap.batchSize === stream.size)
       val replayer = new SampleReplayer(snap)
       expected.zipWithIndex.foreach { case (want, v) =>
         replayer.advanceTo(v)
-        val got = (want ++ Set.empty).map(identity) // force Set
-        val lefts = want.map(_.left)
-        lefts.foreach { l =>
-          assert(replayer.view.leftNeighbors(l) ===
-            want.filter(_.left == l).map(_.right), s"trial $trial version $v vertex $l")
-        }
-        assert(got.forall(e => replayer.view.leftNeighbors(e.left).contains(e.right)))
+        assertVersion(replayer, want, s"version $v")
+      }
+      // The snapshot Abacus.advanceBatch records after a non-empty prefix
+      // (same RNG seed, so the same RP run) replays the same versions.
+      val (prefix, batch) = stream.splitAt(30)
+      val core = new Abacus(k = 10, seed = trial.toLong)
+      core.processAll(prefix)
+      assert(core.sampleSize > 0, s"trial $trial: S_0 must not be empty")
+      val recorded = new SampleReplayer(core.advanceBatch(batch))
+      (0 to batch.size).foreach { v =>
+        recorded.advanceTo(v)
+        assertVersion(recorded, expected(prefix.size + v), s"batch version $v")
       }
     }
   }
 
-  test("advanceBatch records each edge's triplet and element before its update") {
+  test("advanceBatch records each edge's weight and element before its update") {
     val stream = repro.TestGraphs.randomStream(12, 12, 120, 0.3, 31L)
     val (prefix, batch) = stream.splitAt(40)
     val seq = new Abacus(k = 10, seed = 4L)
@@ -92,10 +103,10 @@ class VersionedSampleSpec extends AnyFunSuite {
     assert(snap.baseLeft.zip(snap.baseRight).map { case (l, r) => Edge(l, r) }.toSet ===
       seq.rp.sample.snapshotEdges().toSet)
     batch.zipWithIndex.foreach { case (el, i) =>
-      assert((snap.tripletEdges(i), snap.tripletCb(i), snap.tripletCg(i)) ===
-        ((seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg)), s"edge $i")
-      assert((snap.elemLeft(i), snap.elemRight(i), snap.elemIsInsert(i)) ===
-        ((el.edge.left, el.edge.right, el.isInsert)), s"edge $i")
+      assert(snap.weight(i) == DiscoveryProbability.increment(el.sign,
+        seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg, seq.k), s"edge $i")
+      assert((snap.elemLeft(i), snap.elemRight(i)) === ((el.edge.left, el.edge.right)),
+        s"edge $i")
       seq.process(el)
     }
     assert((core.rp.streamEdgeCount, core.rp.cb, core.rp.cg) ===
