@@ -10,10 +10,10 @@ import scala.collection.mutable
   */
 trait AdjView {
   /** Right-partition neighbours of left vertex `u` (empty if absent). */
-  def leftNeighbors(u: Long): collection.Set[Long]
+  def leftNeighbors(u: Long): LongSet
 
   /** Left-partition neighbours of right vertex `v` (empty if absent). */
-  def rightNeighbors(v: Long): collection.Set[Long]
+  def rightNeighbors(v: Long): LongSet
 
   /** Degree of left vertex `u` in this view. */
   def leftDegree(u: Long): Int = leftNeighbors(u).size
@@ -23,25 +23,24 @@ trait AdjView {
 }
 
 /** Mutable bipartite edge sample stored as adjacency lists (the paper stores
-  * sampled edges "using the adjacency list format", §VI-A).
+  * sampled edges "using the adjacency list format", §VI-A): each side maps a
+  * vertex to the primitive [[LongSet]] of its neighbours.
   *
   * Besides the two adjacency maps it keeps a dense array of the sampled
   * edges with an index map, so Random Pairing's "replace a random edge"
   * (Algorithm 2, line 6) is O(1) via swap-remove.
   */
 final class AdjacencySample extends AdjView {
-  private val adjL = mutable.HashMap.empty[Long, mutable.HashSet[Long]]
-  private val adjR = mutable.HashMap.empty[Long, mutable.HashSet[Long]]
+  private val adjL = mutable.LongMap.empty[LongSet]
+  private val adjR = mutable.LongMap.empty[LongSet]
   private val edges = mutable.ArrayBuffer.empty[Edge]
   private val edgePos = mutable.HashMap.empty[Edge, Int]
 
-  private val emptySet: collection.Set[Long] = Set.empty[Long]
+  override def leftNeighbors(u: Long): LongSet = orEmpty(adjL.getOrNull(u))
 
-  override def leftNeighbors(u: Long): collection.Set[Long] =
-    adjL.getOrElse(u, emptySet)
+  override def rightNeighbors(v: Long): LongSet = orEmpty(adjR.getOrNull(v))
 
-  override def rightNeighbors(v: Long): collection.Set[Long] =
-    adjR.getOrElse(v, emptySet)
+  private def orEmpty(s: LongSet): LongSet = if (s eq null) LongSet.empty else s
 
   /** Number of edges currently in the sample (|S|). */
   def size: Int = edges.length
@@ -54,8 +53,8 @@ final class AdjacencySample extends AdjView {
     require(!edgePos.contains(e), s"edge $e already in sample")
     edgePos(e) = edges.length
     edges += e
-    adjL.getOrElseUpdate(e.left, mutable.HashSet.empty) += e.right
-    adjR.getOrElseUpdate(e.right, mutable.HashSet.empty) += e.left
+    addToAdj(adjL, e.left, e.right)
+    addToAdj(adjR, e.right, e.left)
   }
 
   /** Remove edge `e`, which must be present. */
@@ -67,11 +66,16 @@ final class AdjacencySample extends AdjView {
     removeFromAdj(adjR, e.right, e.left)
   }
 
-  private def removeFromAdj(adj: mutable.HashMap[Long, mutable.HashSet[Long]],
-                            key: Long, value: Long): Unit = {
-    val s = adj(key)
-    s -= value
-    if (s.isEmpty) adj.remove(key) // zero-degree vertices leave the sample
+  private def addToAdj(adj: mutable.LongMap[LongSet], key: Long, value: Long): Unit = {
+    var s = adj.getOrNull(key)
+    if (s eq null) { s = new LongSet; adj.update(key, s) }
+    s.add(value)
+  }
+
+  private def removeFromAdj(adj: mutable.LongMap[LongSet], key: Long, value: Long): Unit = {
+    val s = adj.getOrNull(key)
+    s.remove(value)
+    if (s.isEmpty) adj -= key // zero-degree vertices leave the sample
   }
 
   /** A uniformly random sampled edge (for RP's replacement step). */

@@ -11,7 +11,9 @@ package repro.core
   * view-neighbours have the smaller cumulative degree and drives the set
   * intersections from there; each intersection iterates the smaller of the
   * two neighbour sets and probes the larger, so its cost is the size of the
-  * smaller set.
+  * smaller set. Butterflies and probes are integer sums over the sets'
+  * members, so neither depends on the order in which a [[LongSet]] holds
+  * them.
   */
 object ButterflyCounter {
 
@@ -31,37 +33,45 @@ object ButterflyCounter {
 
     if (nu.isEmpty || nv.isEmpty) return Result(0L, 0L)
 
-    var cumU = 0L
-    nu.foreach(w => cumU += view.rightDegree(w))
-    var cumV = 0L
-    nv.foreach(x => cumV += view.leftDegree(x))
-
-    var found = 0L
-    var work = 0L
-
-    if (cumU <= cumV) {
+    if (cumDegree(view, nu, right = true) <= cumDegree(view, nv, right = false))
       // Explore w ∈ N_u^S \ {v}; intersect N_w^S with N_v^S, excluding u.
-      val it = nu.iterator
-      while (it.hasNext) {
-        val w = it.next()
-        if (w != v) {
-          val packed = intersectCount(view.rightNeighbors(w), nv, exclude = u)
-          found += packed >>> 32
-          work += packed & 0xFFFFFFFFL
-        }
-      }
-    } else {
+      explore(view, nu, right = true, skip = v, nv, exclude = u)
+    else
       // Symmetric: explore x ∈ N_v^S \ {u}; intersect N_x^S with N_u^S,
       // excluding v.
-      val it = nv.iterator
-      while (it.hasNext) {
-        val x = it.next()
-        if (x != u) {
-          val packed = intersectCount(view.leftNeighbors(x), nu, exclude = v)
-          found += packed >>> 32
-          work += packed & 0xFFFFFFFFL
-        }
+      explore(view, nv, right = false, skip = u, nu, exclude = v)
+  }
+
+  /** Neighbours of `x`, a right vertex if `right`, else a left one. */
+  private def neighbors(view: AdjView, x: Long, right: Boolean): LongSet =
+    if (right) view.rightNeighbors(x) else view.leftNeighbors(x)
+
+  /** Σ of the view degrees of the members of `s` (right vertices if `right`). */
+  private def cumDegree(view: AdjView, s: LongSet, right: Boolean): Long = {
+    var sum = 0L
+    var i = s.start
+    while (i < s.end) {
+      if (s.occupied(i)) sum += neighbors(view, s.keyAt(i), right).size
+      i += 1
+    }
+    sum
+  }
+
+  /** Intersect the neighbours of every member of `outer` but `skip` (right
+    * vertices if `right`) with `other`, excluding `exclude`.
+    */
+  private def explore(view: AdjView, outer: LongSet, right: Boolean, skip: Long,
+                      other: LongSet, exclude: Long): Result = {
+    var found = 0L
+    var work = 0L
+    var i = outer.start
+    while (i < outer.end) {
+      if (outer.occupied(i) && outer.keyAt(i) != skip) {
+        val packed = intersectCount(neighbors(view, outer.keyAt(i), right), other, exclude)
+        found += packed >>> 32
+        work += packed & 0xFFFFFFFFL
       }
+      i += 1
     }
     Result(found, work)
   }
@@ -73,17 +83,18 @@ object ButterflyCounter {
     * Per-intersection count and probes both fit 32 bits because set sizes
     * are bounded by the sample budget.
     */
-  private def intersectCount(a: collection.Set[Long], b: collection.Set[Long],
-                             exclude: Long): Long = {
-    val (small, large) = if (a.size <= b.size) (a, b) else (b, a)
+  private def intersectCount(a: LongSet, b: LongSet, exclude: Long): Long = {
+    val small = if (a.size <= b.size) a else b
+    val large = if (small eq a) b else a
     var c = 0L
-    var probes = 0L
-    val it = small.iterator
-    while (it.hasNext) {
-      val x = it.next()
-      probes += 1
-      if (x != exclude && large.contains(x)) c += 1
+    var i = small.start
+    while (i < small.end) {
+      if (small.occupied(i)) {
+        val x = small.keyAt(i)
+        if (x != exclude && large.contains(x)) c += 1
+      }
+      i += 1
     }
-    (c << 32) | probes
+    (c << 32) | small.size
   }
 }

@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{Edge, StreamElement}
+import repro.core.{Edge, LongSet, StreamElement}
 import repro.graph.StreamGen
 
 /** Shared small-graph fixtures and stream builders for the unit tests. */
@@ -19,6 +19,13 @@ object TestGraphs {
   /** A path l1-r1-l2-r2: zero butterflies however you stream it. */
   val butterflyFreeEdges: IndexedSeq[(Long, Long)] =
     IndexedSeq((1L, 1L), (2L, 1L), (2L, 2L))
+
+  /** The members of a neighbour set, for comparison with expected sets. */
+  def ids(s: LongSet): Set[Long] = {
+    val b = Set.newBuilder[Long]
+    s.foreach(b += _)
+    b.result()
+  }
 
   /** Random small bipartite edge set (distinct, deterministic). */
   def randomEdges(nL: Int, nR: Int, m: Int, seed: Long): IndexedSeq[(Long, Long)] =

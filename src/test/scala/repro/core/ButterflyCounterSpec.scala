@@ -86,9 +86,12 @@ class ButterflyCounterSpec extends AnyFunSuite {
   }
 
   test("matches brute force on random samples") {
-    (1 to 30).foreach { trial =>
+    (1 to 60).foreach { trial =>
+      // Trials past 30 shift the ids (1..8) to -3..4 on both sides, so 0L
+      // (the empty-slot marker of LongSet) and negatives are vertices.
+      val shift = if (trial > 30) -4L else 0L
       val edges = TestGraphs.randomEdges(8, 8, 20, trial.toLong)
-        .map { case (l, r) => Edge(l, r) }
+        .map { case (l, r) => Edge(l + shift, r + shift) }
       val s = viewOf(edges)
       val incoming = Edge(100L, 200L) // fresh vertices never collide
       // Brute force: x,w with (x,w),(x,v),(u,w) … u=incoming.left etc.
@@ -106,7 +109,9 @@ class ButterflyCounterSpec extends AnyFunSuite {
       val probes = Seq(
         (edges.head.left, edges.last.right),
         (edges.last.left, edges.head.right),
-        (incoming.left, incoming.right))
+        (incoming.left, incoming.right)) ++ (if (shift == 0L) Nil else Seq(
+        (0L, 0L), (0L, edges.head.right), (edges.head.left, 0L),
+        (-100L, 0L), (0L, -200L), (-100L, -200L)))
       probes.foreach { case (u, v) =>
         if (!s.contains(Edge(u, v))) {
           assert(ButterflyCounter.countForEdge(s, u, v).butterflies === brute(u, v),
@@ -114,5 +119,16 @@ class ButterflyCounterSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("work is the sum of the smaller set sizes over the explored intersections") {
+    // u = 0 with N(u) = {-10, 11}; v = -20 with N(v) = {2, 3, -4}.
+    // N(-10) = {0, 2, 3}, N(11) = {0, -4}; lefts 2, 3, -4 have degree 2.
+    val s = viewOf(Seq(Edge(0L, -10L), Edge(0L, 11L), Edge(2L, -10L), Edge(3L, -10L),
+      Edge(-4L, 11L), Edge(2L, -20L), Edge(3L, -20L), Edge(-4L, -20L)))
+    // Cumulative degrees: u side 3 + 2 = 5 ≤ v side 2 + 2 + 2 = 6, so the
+    // walk goes over w ∈ {-10, 11}: |N(-10)| = 3 vs |N(v)| = 3 → 3 probes,
+    // 2 hits (2, 3; u excluded); |N(11)| = 2 vs 3 → 2 probes, 1 hit (-4).
+    assert(ButterflyCounter.countForEdge(s, 0L, -20L) === ButterflyCounter.Result(3L, 5L))
   }
 }
