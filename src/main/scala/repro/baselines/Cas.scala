@@ -65,7 +65,7 @@ final class Cas(val k: Int, lambda: Double, seed: Long) {
     val r = ButterflyCounter.countForEdge(reservoir, e.left, e.right)
     if (r.butterflies > 0)
       est += r.butterflies / DiscoveryProbability(rp.streamEdgeCount, 0, 0, reservoirCapacity)
-    rp.insert(e)
+    rp(el)
   }
 
   /** Process a whole stream. */

@@ -69,37 +69,34 @@ class Abacus(val k: Int, seed: Long) {
 
   /** PARABACUS phase 1: advance the sampler over a whole mini-batch without
     * counting, and record every sample version the batch's edges observe —
-    * S_0 plus the deltas each update makes — and each edge's [[weight]]
-    * before its update (O(M) time, O(k+M) space; Theorems 6, 7). The
-    * counting is left to [[addPartials]].
+    * one change log of S whose version 0 inserts S_0 and whose version i+1
+    * holds the changes edge i makes — and each edge's [[weight]] before its
+    * update (O(M) time, O(k+M) space; Theorems 6, 7). The counting is left
+    * to [[addPartials]].
     */
   private[core] def advanceBatch(batch: IndexedSeq[StreamElement]): VersionedSampleSnapshot = {
     val m = batch.length
-    val baseEdges = sample.snapshotEdges()
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
     val weights = new Array[Double](m)
-    val dVer = Array.newBuilder[Int]
-    val dAdd = Array.newBuilder[Boolean]
-    val dLeft = Array.newBuilder[Long]
-    val dRight = Array.newBuilder[Long]
+    val version = Array.newBuilder[Int]
+    val isInsert = Array.newBuilder[Boolean]
+    val left = Array.newBuilder[Long]
+    val right = Array.newBuilder[Long]
+    def log(v: Int, insert: Boolean, e: Edge): Unit = {
+      version += v; isInsert += insert; left += e.left; right += e.right
+    }
+    sample.snapshotEdges().foreach(log(0, true, _))
     var i = 0
     while (i < m) {
       val el = batch(i)
       elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
       weights(i) = weight(el)
-      // Updates of edge i become visible at version i+1.
-      rp.apply(el).foreach { d =>
-        dVer += i + 1
-        dAdd += d.isInstanceOf[AddToSample]
-        dLeft += d.edge.left
-        dRight += d.edge.right
-      }
+      // Changes of edge i become visible at version i+1.
+      rp.apply(el).foreach(c => log(i + 1, c.isInsert, c.edge))
       i += 1
     }
-    VersionedSampleSnapshot(
-      baseEdges.map(_.left), baseEdges.map(_.right),
-      dVer.result(), dAdd.result(), dLeft.result(), dRight.result(),
+    VersionedSampleSnapshot(version.result(), isInsert.result(), left.result(), right.result(),
       elemLeft, elemRight, weights)
   }
 

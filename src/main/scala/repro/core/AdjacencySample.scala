@@ -14,12 +14,6 @@ trait AdjView {
 
   /** Left-partition neighbours of right vertex `v` (empty if absent). */
   def rightNeighbors(v: Long): LongSet
-
-  /** Degree of left vertex `u` in this view. */
-  def leftDegree(u: Long): Int = leftNeighbors(u).size
-
-  /** Degree of right vertex `v` in this view. */
-  def rightDegree(v: Long): Int = rightNeighbors(v).size
 }
 
 /** Mutable bipartite edge sample stored as adjacency lists (the paper stores

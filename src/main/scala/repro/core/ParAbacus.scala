@@ -19,8 +19,8 @@ final case class PartitionCount(partition: Int, partialCount: Double,
   * Per mini-batch of M edges it:
   *  1. advances the Random Pairing sampler over the batch on the driver,
   *     recording a [[VersionedSampleSnapshot]] — each edge's Eq. 1 weight
-  *     plus the sample-version *deltas* (O(M) time, O(k+M) space;
-  *     Theorems 6, 7);
+  *     plus the change log of the sample, S_0 as its version 0 (O(M) time,
+  *     O(k+M) space; Theorems 6, 7);
   *  2. broadcasts the snapshot and fans the per-edge butterfly counting out
   *     over `p` RDD partitions (the paper's p threads), each handling a
   *     contiguous equal-sized range of the batch against its own replayed
@@ -40,18 +40,10 @@ final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions
   require(numPartitions >= 1, "need at least one partition")
 
   private val sc = spark.sparkContext
-  private val workByPartition = Array.fill(numPartitions)(0L)
-  private val edgesByPartition = Array.fill(numPartitions)(0L)
 
-  /** Cumulative set-intersection probes per partition across all batches —
-    * the data behind the load-balance table (Fig. 10).
+  /** Process one mini-batch and return the per-partition results, in
+    * partition order (the load-balance table, Fig. 10, adds them up).
     */
-  def workPerPartition: IndexedSeq[Long] = workByPartition.toIndexedSeq
-
-  /** Cumulative edges processed per partition across all batches. */
-  def edgesPerPartition: IndexedSeq[Long] = edgesByPartition.toIndexedSeq
-
-  /** Process one mini-batch and return the per-partition results. */
   def processBatch(batch: IndexedSeq[StreamElement]): Seq[PartitionCount] = {
     if (batch.isEmpty) return Nil
 
@@ -70,10 +62,6 @@ final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions
 
     // Phase 3: reduce partials in partition order (edge order overall).
     addPartials(results)
-    results.foreach { r =>
-      workByPartition(r.partition) += r.work
-      edgesByPartition(r.partition) += r.edges
-    }
     results.toSeq
   }
 

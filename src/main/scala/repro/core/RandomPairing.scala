@@ -3,16 +3,6 @@ package repro.core
 import java.util.SplittableRandom
 import scala.collection.immutable.ArraySeq
 
-/** A mutation Random Pairing applies to the graph sample S.
-  *
-  * [[Abacus.advanceBatch]] records these so that PARABACUS can store the
-  * *discrepancies* between consecutive sample versions (§V-A) instead of
-  * materialising every version.
-  */
-sealed trait SampleDelta extends Serializable { def edge: Edge }
-final case class AddToSample(edge: Edge)      extends SampleDelta
-final case class RemoveFromSample(edge: Edge) extends SampleDelta
-
 /** Random Pairing (Gemulla et al., VLDBJ'08) over an [[AdjacencySample]] —
   * Algorithm 2 of the paper.
   *
@@ -22,10 +12,12 @@ final case class RemoveFromSample(edge: Edge) extends SampleDelta
   *   - `cb` ("bad"): uncompensated deletions of edges that *were* sampled,
   *   - `cg` ("good"): uncompensated deletions of edges that were not.
   *
-  * Every mutation of the sample is returned as a sequence of [[SampleDelta]]s
-  * so [[Abacus.advanceBatch]] can version the sample for PARABACUS;
-  * [[Abacus.process]] ignores them. Without deletions `c_b = c_g = 0` and
-  * [[insert]] is classic reservoir sampling, which CAS-R drives directly.
+  * Every change to the sample S is itself a stream element on S
+  * (Definition 1 applied to S): an insert puts an edge into S, a delete
+  * takes it out. [[apply]] returns them in order, so [[Abacus.advanceBatch]]
+  * can log the versions of S for PARABACUS; [[Abacus.process]] ignores them.
+  * Without deletions `c_b = c_g = 0` and this is classic reservoir sampling,
+  * which CAS-R drives directly.
   */
 final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: SplittableRandom) {
   require(k >= 2, s"memory budget k must be >= 2, got $k")
@@ -39,25 +31,27 @@ final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: Splittab
   def cb: Long = cbCount
   def cg: Long = cgCount
 
-  /** Apply one stream element and return the sample mutations performed. */
-  def apply(el: StreamElement): Seq[SampleDelta] =
-    if (el.isInsert) insert(el.edge) else delete(el.edge)
+  /** Apply one stream element and return the changes it makes to S, in
+    * order. A change of the arriving edge is the arriving element itself.
+    */
+  def apply(el: StreamElement): Seq[StreamElement] =
+    if (el.isInsert) insert(el) else delete(el)
 
   /** Algorithm 2, `InsertToSample`. */
-  def insert(e: Edge): Seq[SampleDelta] = {
+  private def insert(el: StreamElement): Seq[StreamElement] = {
     numEdges += 1
     if (cbCount + cgCount == 0) {
-      if (sample.size < k) add(e)
+      if (sample.size < k) add(el)
       else if (rng.nextDouble() < k.toDouble / numEdges) {
         val victim = sample.randomEdge(rng)
         sample.remove(victim)
-        sample.add(e)
-        ArraySeq(RemoveFromSample(victim), AddToSample(e))
+        sample.add(el.edge)
+        ArraySeq(StreamElement(victim, isInsert = false), el)
       } else Nil
     } else {
       if (rng.nextDouble() < cbCount.toDouble / (cbCount + cgCount)) {
         cbCount -= 1
-        add(e)
+        add(el)
       } else {
         cgCount -= 1
         Nil
@@ -66,20 +60,20 @@ final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: Splittab
   }
 
   /** Algorithm 2, `DeleteFromSample`. */
-  def delete(e: Edge): Seq[SampleDelta] = {
+  private def delete(el: StreamElement): Seq[StreamElement] = {
     numEdges -= 1
-    if (sample.contains(e)) {
+    if (sample.contains(el.edge)) {
       cbCount += 1
-      sample.remove(e)
-      ArraySeq(RemoveFromSample(e))
+      sample.remove(el.edge)
+      el :: Nil
     } else {
       cgCount += 1
       Nil
     }
   }
 
-  private def add(e: Edge): Seq[SampleDelta] = {
-    sample.add(e)
-    ArraySeq(AddToSample(e))
+  private def add(el: StreamElement): Seq[StreamElement] = {
+    sample.add(el.edge)
+    el :: Nil
   }
 }

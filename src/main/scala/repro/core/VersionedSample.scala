@@ -2,12 +2,13 @@ package repro.core
 
 /** Immutable, broadcastable versioned sample for one mini-batch (§V-A).
   *
-  * Version `i` (0 ≤ i < M) is the sample state the i-th edge of the
-  * mini-batch observes: the base sample S_0 (state at batch start) plus
-  * every delta produced by the RP updates of edges 0..i−1. Only the
-  * *discrepancies* between versions are stored: delta `j` is visible from
-  * version `deltaVersion(j)` onward; deltas are in creation order, so the
-  * versions are non-decreasing.
+  * The sample S is stored as one change log: entry `j` inserts
+  * (`isInsert(j)`) or deletes the edge `(left(j), right(j))` at version
+  * `version(j)`, and entries are in creation order, so the versions are
+  * non-decreasing. The version-0 entries insert the base sample S_0 (the
+  * state at batch start); version `i` (0 ≤ i < M), the sample state the
+  * i-th edge of the mini-batch observes, is the log prefix of entries with
+  * version ≤ i — S_0 plus the Random Pairing changes of edges 0..i−1.
   *
   * The paper caches each version's `{s, c_b, c_g}` triplet only so that
   * every thread can evaluate Eq. 1's increment `sgn(δ_i)/Pr(s_i, c_b,i, c_g,i)`;
@@ -19,11 +20,8 @@ package repro.core
   * the dominant PARABACUS overhead.
   */
 final case class VersionedSampleSnapshot(
-    // sample version S_0
-    baseLeft: Array[Long], baseRight: Array[Long],
-    // ordered sample deltas: visible-from version, add/remove flag, edge
-    deltaVersion: Array[Int], deltaIsAdd: Array[Boolean],
-    deltaLeft: Array[Long], deltaRight: Array[Long],
+    // the change log of S: visible-from version, insert/delete flag, edge
+    version: Array[Int], isInsert: Array[Boolean], left: Array[Long], right: Array[Long],
     // the mini-batch edges, in arrival order, and each one's Eq. 1 increment
     elemLeft: Array[Long], elemRight: Array[Long], weight: Array[Double],
 ) extends Serializable {
@@ -33,32 +31,24 @@ final case class VersionedSampleSnapshot(
 
 /** Forward-only reconstruction of sample versions from a snapshot.
   *
-  * Builds S_0 once (O(k)) and then applies stored deltas in order, exposing
-  * an [[AdjView]] of the current version. Each PARABACUS task owns one
-  * replayer for its contiguous range of edges, so a task pays O(k + M) to
-  * reconstruct and then walks versions incrementally.
+  * Applies the change log in order, exposing an [[AdjView]] of the current
+  * version; a fresh replayer is at version 0 (S_0, O(k)). Each PARABACUS
+  * task owns one replayer for its contiguous range of edges, so a task pays
+  * O(k + M) to reconstruct and then walks versions incrementally.
   */
 final class SampleReplayer(snap: VersionedSampleSnapshot) {
-  private val adj: AdjacencySample = {
-    val a = new AdjacencySample
-    var i = 0
-    while (i < snap.baseLeft.length) {
-      a.add(Edge(snap.baseLeft(i), snap.baseRight(i)))
-      i += 1
-    }
-    a
-  }
+  private val adj = new AdjacencySample
+  private var next = 0
+  advanceTo(0)
 
-  private var deltaIdx = 0
-
-  /** Advance to version `v`: apply every delta visible from ≤ v. Versions
-    * can only move forward.
+  /** Advance to version `v`: apply every log entry of version ≤ v.
+    * Versions can only move forward.
     */
   def advanceTo(v: Int): Unit = {
-    while (deltaIdx < snap.deltaVersion.length && snap.deltaVersion(deltaIdx) <= v) {
-      val e = Edge(snap.deltaLeft(deltaIdx), snap.deltaRight(deltaIdx))
-      if (snap.deltaIsAdd(deltaIdx)) adj.add(e) else adj.remove(e)
-      deltaIdx += 1
+    while (next < snap.version.length && snap.version(next) <= v) {
+      val e = Edge(snap.left(next), snap.right(next))
+      if (snap.isInsert(next)) adj.add(e) else adj.remove(e)
+      next += 1
     }
   }
 

@@ -36,7 +36,8 @@ object Experiments {
 
   /** Mean relative error over `trials` seeded runs, per (k, alg). */
   def accuracy(d: LiteDataset, ks: Seq[Int], alpha: Double,
-               trials: Int, seedBase: Long = 100L): Seq[AccuracyRow] = {
+               trials: Int): Seq[AccuracyRow] = {
+    val seedBase = 100L
     val stream = d.stream(alpha)
     val truth = d.exactFinalCount(alpha).toDouble
     for {
@@ -63,7 +64,8 @@ object Experiments {
     */
   def throughputAll(spark: SparkSession, d: LiteDataset,
                     ks: Seq[Int], alpha: Double, miniBatch: Int,
-                    partitions: Int, seed: Long = 42L): Seq[ThroughputRow] = {
+                    partitions: Int): Seq[ThroughputRow] = {
+    val seed = 42L
     val stream = d.stream(alpha)
     val insOnly = stream.filter(_.isInsert)
     ks.flatMap { k =>
@@ -93,7 +95,8 @@ object Experiments {
                                      relError: Double, edgesPerSec: Double)
 
   def deletionImpact(d: LiteDataset, alphas: Seq[Double], k: Int,
-                     trials: Int, seedBase: Long = 300L): Seq[DeletionImpactRow] =
+                     trials: Int): Seq[DeletionImpactRow] = {
+    val seedBase = 300L
     alphas.map { alpha =>
       val stream = d.stream(alpha)
       val truth = d.exactFinalCount(alpha).toDouble
@@ -109,6 +112,7 @@ object Experiments {
         Metrics.mean(runs.map(_._1)),
         Metrics.throughput(stream.size.toLong, runs.map(_._2).min))
     }
+  }
 
   // ------------------------------------------------------------------
   // T7 — scalability: elapsed time vs stream prefix (Fig. 7).
@@ -121,8 +125,8 @@ object Experiments {
     * The sweep runs twice and reports the per-decile minimum of the
     * cumulative times, so one GC pause cannot bend the linearity curve.
     */
-  def scalability(d: LiteDataset, ks: Seq[Int], alpha: Double,
-                  seed: Long = 500L): Seq[ScalabilityRow] = {
+  def scalability(d: LiteDataset, ks: Seq[Int], alpha: Double): Seq[ScalabilityRow] = {
+    val seed = 500L
     val stream = d.stream(alpha)
     val n = stream.size
     ks.flatMap { k =>
@@ -167,8 +171,9 @@ object Experiments {
     * runs (except the overhead-dominated M<2000 configurations).
     */
   def speedup(spark: SparkSession, d: LiteDataset, ks: Seq[Int],
-              miniBatches: Seq[Int], partitionCounts: Seq[Int], alpha: Double,
-              seed: Long = 700L): Seq[SpeedupRow] = {
+              miniBatches: Seq[Int], partitionCounts: Seq[Int],
+              alpha: Double): Seq[SpeedupRow] = {
+    val seed = 700L
     val stream = d.stream(alpha).take(SpeedupStreamCap)
     ks.flatMap { k =>
       // Warm both code paths.
@@ -196,12 +201,13 @@ object Experiments {
 
   /** Set-intersection probes accumulated per partition over the stream. */
   def loadBalance(spark: SparkSession, d: LiteDataset, k: Int,
-                  miniBatch: Int, partitions: Int, alpha: Double,
-                  seed: Long = 900L): Seq[LoadRow] = {
-    val pa = new ParAbacus(k, seed, spark, partitions)
-    pa.processAll(d.stream(alpha), miniBatch)
-    pa.workPerPartition.zip(pa.edgesPerPartition).zipWithIndex.map {
-      case ((w, e), pid) => LoadRow(d.name, pid, w, e)
+                  miniBatch: Int, partitions: Int, alpha: Double): Seq[LoadRow] = {
+    val pa = new ParAbacus(k, seed = 900L, spark, partitions)
+    val parts =
+      d.stream(alpha).grouped(miniBatch).flatMap(g => pa.processBatch(g.toIndexedSeq)).toSeq
+    (0 until partitions).map { pid =>
+      val mine = parts.filter(_.partition == pid)
+      LoadRow(d.name, pid, mine.map(_.work).sum, mine.map(_.edges.toLong).sum)
     }
   }
 }

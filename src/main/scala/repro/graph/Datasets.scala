@@ -94,18 +94,8 @@ object Datasets {
       else StreamGen.fullyDynamic(edgesOf(d), alpha, seed))
 
   private[graph] def exactFinalOf(d: LiteDataset, alpha: Double, seed: Long): Long =
-    exactCache.getOrElseUpdate((d.name, alpha, seed), {
-      // α = 0 leaves the full graph; its count equals the static count and
-      // is independent of the stream seed.
-      if (alpha == 0.0)
-        ExactButterflyCounter.countStatic(
-          edgesOf(d).iterator.map { case (l, r) => Edge(l, r) })
-      else {
-        val c = new ExactButterflyCounter
-        c.processAll(streamOf(d, alpha, seed))
-        c.count
-      }
-    })
+    exactCache.getOrElseUpdate((d.name, alpha, seed),
+      new ExactButterflyCounter().processAll(streamOf(d, alpha, seed)))
 
   /** Measured Table II row for one analog (exact counts; driver-side). */
   def stats(d: LiteDataset): DatasetStats = {

@@ -16,8 +16,8 @@ class AdjacencySampleSpec extends AnyFunSuite {
     assert(s.size === 0)
     assert(s.leftNeighbors(1L).isEmpty)
     assert(s.rightNeighbors(1L).isEmpty)
-    assert(s.leftDegree(5L) === 0)
-    assert(s.rightDegree(5L) === 0)
+    assert(s.leftNeighbors(5L).size === 0)
+    assert(s.rightNeighbors(5L).size === 0)
   }
 
   test("add maintains both adjacency directions") {
@@ -56,10 +56,10 @@ class AdjacencySampleSpec extends AnyFunSuite {
 
   test("degrees reflect current adjacency") {
     val s = sampleWith((1L, 10L), (1L, 11L), (2L, 10L))
-    assert(s.leftDegree(1L) === 2)
-    assert(s.leftDegree(2L) === 1)
-    assert(s.rightDegree(10L) === 2)
-    assert(s.rightDegree(11L) === 1)
+    assert(s.leftNeighbors(1L).size === 2)
+    assert(s.leftNeighbors(2L).size === 1)
+    assert(s.rightNeighbors(10L).size === 2)
+    assert(s.rightNeighbors(11L).size === 1)
   }
 
   test("swap-remove keeps the edge registry consistent") {
@@ -109,7 +109,7 @@ class AdjacencySampleSpec extends AnyFunSuite {
       assert(s.size === ref.size, s"trial $trial size")
       assert(s.snapshotEdges().map(e => (e.left, e.right)).toSet === ref.toSet, s"trial $trial edges")
       ref.groupBy(_._1).foreach { case (l, es) =>
-        assert(s.leftDegree(l) === es.size, s"trial $trial degree of $l")
+        assert(s.leftNeighbors(l).size === es.size, s"trial $trial degree of $l")
       }
     }
   }

@@ -82,13 +82,13 @@ class ParAbacusSpec extends SparkSpec {
   test("per-partition bookkeeping sums to the whole stream") {
     val stream = TestGraphs.randomStream(15, 15, 150, 0.2, 11L)
     val par = new ParAbacus(k = 30, seed = 2L, spark, numPartitions = 4)
-    par.processAll(stream, 25)
+    val parts = stream.grouped(25).flatMap(g => par.processBatch(g.toIndexedSeq)).toSeq
     assert(par.processed === stream.size.toLong)
-    assert(par.edgesPerPartition.sum === stream.size.toLong)
+    assert(parts.map(_.edges).sum === stream.size)
     // Work must match what Abacus spends on the same configuration.
     val seq = new Abacus(k = 30, seed = 2L)
     seq.processAll(stream)
-    assert(par.workPerPartition.sum === seq.totalWork)
+    assert(parts.map(_.work).sum === seq.totalWork)
   }
 
   test("sample state after a batch matches Abacus's (consolidation)") {

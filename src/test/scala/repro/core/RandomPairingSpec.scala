@@ -15,7 +15,7 @@ class RandomPairingSpec extends AnyFunSuite {
 
   test("first k insertions are all sampled") {
     val rp = fresh(5)
-    (1 to 5).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
+    (1 to 5).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
     assert(rp.sample.size === 5)
     assert(rp.streamEdgeCount === 5)
     (1 to 5).foreach(i => assert(rp.sample.contains(Edge(i.toLong, i.toLong))))
@@ -23,15 +23,15 @@ class RandomPairingSpec extends AnyFunSuite {
 
   test("sample never exceeds the memory budget") {
     val rp = fresh(8)
-    (1 to 500).foreach(i => rp.insert(Edge(i.toLong, 1L)))
+    (1 to 500).foreach(i => rp(StreamElement.insert(i.toLong, 1L)))
     assert(rp.sample.size === 8)
     assert(rp.streamEdgeCount === 500)
   }
 
   test("deleting a sampled edge bumps cb and shrinks the sample") {
     val rp = fresh(10)
-    (1 to 4).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
-    rp.delete(Edge(2L, 2L)) // everything is sampled while |E| <= k
+    (1 to 4).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
+    rp(StreamElement.delete(2L, 2L)) // everything is sampled while |E| <= k
     assert(rp.cb === 1)
     assert(rp.cg === 0)
     assert(rp.sample.size === 3)
@@ -40,11 +40,11 @@ class RandomPairingSpec extends AnyFunSuite {
 
   test("deleting an unsampled edge bumps cg and keeps the sample") {
     val rp = fresh(2, seed = 3L)
-    (1 to 50).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
+    (1 to 50).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
     val unsampled = (1 to 50).map(i => Edge(i.toLong, i.toLong))
       .find(e => !rp.sample.contains(e)).get
     val before = rp.sample.size
-    rp.delete(unsampled)
+    rp(StreamElement(unsampled, isInsert = false))
     assert(rp.cg === 1)
     assert(rp.cb === 0)
     assert(rp.sample.size === before)
@@ -52,27 +52,37 @@ class RandomPairingSpec extends AnyFunSuite {
 
   test("a bad deletion is compensated by the next insertion") {
     val rp = fresh(10)
-    (1 to 4).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
-    rp.delete(Edge(1L, 1L))
+    (1 to 4).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
+    rp(StreamElement.delete(1L, 1L))
     // cb=1, cg=0 → the insertion enters the sample with probability 1.
-    val deltas = rp.insert(Edge(9L, 9L))
-    assert(deltas === Seq(AddToSample(Edge(9L, 9L))))
+    val changes = rp(StreamElement.insert(9L, 9L))
+    assert(changes === Seq(StreamElement.insert(9L, 9L)))
     assert(rp.cb === 0)
     assert(rp.sample.contains(Edge(9L, 9L)))
   }
 
   test("RP invariant |S| = min(k, |E|+cb+cg) − cb holds under random streams") {
+    var replacements = 0
     (1 to 20).foreach { trial =>
       val rp = fresh(12, seed = trial.toLong)
       val stream = TestGraphs.randomStream(nL = 20, nR = 20, m = 150,
         alpha = 0.3, seed = trial.toLong * 31)
       stream.foreach { el =>
-        rp.apply(el)
+        val changes = rp.apply(el)
+        // A change of the arriving edge is the arriving element, reported
+        // last; only a replacement reports one more change, the victim's
+        // delete, before it.
+        assert(changes.lastOption.forall(_ == el) && changes.size <= 2, s"trial $trial: $changes")
+        if (changes.size == 2) {
+          assert(el.isInsert && !changes.head.isInsert && changes.head.edge != el.edge)
+          replacements += 1
+        }
         val expected = math.min(rp.k.toLong, rp.streamEdgeCount + rp.cb + rp.cg) - rp.cb
         assert(rp.sample.size.toLong === expected,
           s"trial $trial: |S|=${rp.sample.size} |E|=${rp.streamEdgeCount} cb=${rp.cb} cg=${rp.cg}")
       }
     }
+    assert(replacements > 0)
   }
 
   test("sample only ever contains live stream edges") {
@@ -95,7 +105,7 @@ class RandomPairingSpec extends AnyFunSuite {
     val counts = new Array[Int](n)
     (1 to trials).foreach { t =>
       val rp = fresh(k, seed = t.toLong)
-      (0 until n).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
+      (0 until n).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
       rp.sample.snapshotEdges().foreach(e => counts(e.left.toInt) += 1)
     }
     val expected = trials.toDouble * k / n
@@ -115,9 +125,9 @@ class RandomPairingSpec extends AnyFunSuite {
     val counts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     (1 to trials).foreach { t =>
       val rp = fresh(k, seed = 1000L + t)
-      (0 until n).foreach(i => rp.insert(Edge(i.toLong, i.toLong)))
-      deleted.foreach(i => rp.delete(Edge(i, i)))
-      (0 until 5).foreach(i => rp.insert(Edge(100L + i, 100L + i))) // compensate
+      (0 until n).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
+      deleted.foreach(i => rp(StreamElement.delete(i, i)))
+      (0 until 5).foreach(i => rp(StreamElement.insert(100L + i, 100L + i))) // compensate
       rp.sample.snapshotEdges().foreach(e => counts(e.left) += 1)
     }
     deleted.foreach(i => assert(counts(i) === 0, s"deleted edge $i sampled"))

@@ -5,13 +5,15 @@ import repro.TestGraphs.ids
 
 class VersionedSampleSpec extends AnyFunSuite {
 
-  private def snapOf(base: Seq[Edge], deltas: Seq[(Int, Boolean, Edge)],
-                     m: Int): VersionedSampleSnapshot =
+  /** A snapshot whose log inserts `base` at version 0, then holds `changes`. */
+  private def snapOf(base: Seq[Edge], changes: Seq[(Int, Boolean, Edge)],
+                     m: Int): VersionedSampleSnapshot = {
+    val log = base.map(e => (0, true, e)) ++ changes
     VersionedSampleSnapshot(
-      base.map(_.left).toArray, base.map(_.right).toArray,
-      deltas.map(_._1).toArray, deltas.map(_._2).toArray,
-      deltas.map(_._3.left).toArray, deltas.map(_._3.right).toArray,
+      log.map(_._1).toArray, log.map(_._2).toArray,
+      log.map(_._3.left).toArray, log.map(_._3.right).toArray,
       new Array[Long](m), new Array[Long](m), new Array[Double](m))
+  }
 
   test("replayer at version 0 exposes exactly the base sample") {
     val snap = snapOf(Seq(Edge(1L, 1L), Edge(2L, 2L)),
@@ -54,13 +56,10 @@ class VersionedSampleSpec extends AnyFunSuite {
       val sample = new AdjacencySample
       val rp = new RandomPairing(10, sample, rng)
       val expected = scala.collection.mutable.ArrayBuffer[Set[Edge]](Set.empty)
-      val deltas = scala.collection.mutable.ArrayBuffer.empty[(Int, Boolean, Edge)]
+      val changes = scala.collection.mutable.ArrayBuffer.empty[(Int, Boolean, Edge)]
       expected(0) = sample.snapshotEdges().toSet
       stream.zipWithIndex.foreach { case (el, i) =>
-        rp.apply(el).foreach {
-          case AddToSample(e)      => deltas += ((i + 1, true, e))
-          case RemoveFromSample(e) => deltas += ((i + 1, false, e))
-        }
+        rp.apply(el).foreach(c => changes += ((i + 1, c.isInsert, c.edge)))
         expected += sample.snapshotEdges().toSet
       }
       // Every left vertex of the stream has exactly the version's neighbours.
@@ -71,7 +70,7 @@ class VersionedSampleSpec extends AnyFunSuite {
             s"trial $trial $clue vertex $l")
         }
       // Rebuild every version (here the base is the empty pre-stream state).
-      val snap = snapOf(Nil, deltas.toSeq, stream.size)
+      val snap = snapOf(Nil, changes.toSeq, stream.size)
       assert(snap.batchSize === stream.size)
       val replayer = new SampleReplayer(snap)
       expected.zipWithIndex.foreach { case (want, v) =>
@@ -101,8 +100,12 @@ class VersionedSampleSpec extends AnyFunSuite {
     core.processAll(prefix)
     val snap = core.advanceBatch(batch)
     assert(snap.batchSize === batch.size)
-    assert(snap.baseLeft.zip(snap.baseRight).map { case (l, r) => Edge(l, r) }.toSet ===
+    // The version-0 entries are all inserts and together are S_0.
+    val base = snap.version.indices.takeWhile(snap.version(_) == 0)
+    assert(base.forall(snap.isInsert(_)))
+    assert(base.map(j => Edge(snap.left(j), snap.right(j))).toSet ===
       seq.rp.sample.snapshotEdges().toSet)
+    assert(base.size === seq.sampleSize)
     batch.zipWithIndex.foreach { case (el, i) =>
       assert(snap.weight(i) == DiscoveryProbability.increment(el.sign,
         seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg, seq.k), s"edge $i")
