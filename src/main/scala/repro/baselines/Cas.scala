@@ -1,14 +1,13 @@
 package repro.baselines
 
-import java.util.SplittableRandom
-import repro.core.{AdjacencySample, ButterflyCounter, DiscoveryProbability, RandomPairing, StreamElement}
+import repro.core.{Abacus, StreamElement}
 
 /** CAS-R (Li et al., TKDE'22, "Approximately Counting Butterflies in Large
   * Bipartite Graph Streams") — the insert-only sampling+sketching baseline.
   *
   * Faithful-in-spirit reimplementation (no public source available offline;
   * see DESIGN.md "Substitutions"): of the total memory budget `k`, a
-  * fraction λ (default 0.33, the ratio the paper uses for CAS-R) funds an
+  * fraction λ = 0.33 (the ratio the paper uses for CAS-R) funds an
   * [[AmsSketch]] and the remaining (1−λ)·k funds a uniform edge reservoir.
   * Each arriving insertion (a) updates the AMS sketch — in CAS the sketch
   * corrects for repeated edges, an identity in our duplicate-free streams,
@@ -17,35 +16,32 @@ import repro.core.{AdjacencySample, ButterflyCounter, DiscoveryProbability, Rand
   * edge forms with the reservoir, scaled by the reciprocal of the
   * probability that the three older edges are all sampled (the insert-only
   * special case of Eq. 1). Without deletions Random Pairing *is* reservoir
-  * sampling (Gemulla et al.), so the reservoir is a [[RandomPairing]] that
-  * only ever sees insertions.
+  * sampling (Gemulla et al.), so (b) is an [[Abacus]] over the (1−λ)·k
+  * reservoir that only ever sees insertions.
   *
   * **Deletions are ignored**, as in FLEET.
   */
-final class Cas(val k: Int, lambda: Double, seed: Long) {
+final class Cas(val k: Int, seed: Long) {
   require(k >= 4, "memory budget too small")
-  require(lambda > 0 && lambda < 1, "lambda must be in (0,1)")
 
   /** Edge-reservoir capacity: the (1−λ) share of the memory budget. */
-  val reservoirCapacity: Int = math.max(2, ((1.0 - lambda) * k).toInt)
+  val reservoirCapacity: Int = math.max(2, ((1.0 - Cas.Lambda) * k).toInt)
 
-  private val reservoir = new AdjacencySample
-  private val rp = new RandomPairing(reservoirCapacity, reservoir, new SplittableRandom(seed))
+  private val core = new Abacus(reservoirCapacity, seed)
   private val sketch = {
     // λ·k counters arranged as 5 rows (median of five row estimates).
     val rows = 5
-    val cols = math.max(1, (lambda * k).toInt / rows)
+    val cols = math.max(1, (Cas.Lambda * k).toInt / rows)
     new AmsSketch(rows, cols, seed ^ 0x5DEECE66DL)
   }
 
-  private var est: Double = 0.0
   private var skippedDeletions: Long = 0L
 
   /** Current butterfly count estimate. */
-  def estimate: Double = est
+  def estimate: Double = core.estimate
 
   /** Current reservoir size. */
-  def reservoirSize: Int = reservoir.size
+  def reservoirSize: Int = core.sampleSize
 
   /** Deletions seen and discarded. */
   def deletionsIgnored: Long = skippedDeletions
@@ -57,25 +53,20 @@ final class Cas(val k: Int, lambda: Double, seed: Long) {
   def process(el: StreamElement): Unit = {
     if (!el.isInsert) { skippedDeletions += 1; return }
     val e = el.edge
-    if (reservoir.contains(e)) return
+    if (core.isSampled(e)) return
     // Sketch update: co-affiliation key = the edge identity.
     sketch.update(e.left * 0x9E3779B97F4A7C15L + e.right)
-    // Pr(3 specific older edges sampled) for a size-c reservoir over the
-    // insertions seen so far — the cb=cg=0 case of Eq. 1.
-    val r = ButterflyCounter.countForEdge(reservoir, e.left, e.right)
-    if (r.butterflies > 0)
-      est += r.butterflies / DiscoveryProbability(rp.streamEdgeCount, 0, 0, reservoirCapacity)
-    rp(el)
+    core.process(el)
   }
 
   /** Process a whole stream. */
   def processAll(stream: IterableOnce[StreamElement]): Double = {
     stream.iterator.foreach(process)
-    est
+    estimate
   }
 }
 
 object Cas {
-  /** λ used in the paper's evaluation for CAS-R (§VI-A). */
-  val DefaultLambda = 0.33
+  /** λ, the sketch's share of the memory budget (the paper's value, §VI-A). */
+  val Lambda = 0.33
 }

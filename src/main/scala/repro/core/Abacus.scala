@@ -46,6 +46,9 @@ class Abacus(val k: Int, seed: Long) {
   /** Live stream edge count |E| (for tests of the RP bookkeeping). */
   def streamEdgeCount: Long = rp.streamEdgeCount
 
+  /** Whether edge `e` is currently in the sample S. */
+  def isSampled(e: Edge): Boolean = sample.contains(e)
+
   /** Process one stream element: refine the count, then update the sample. */
   def process(el: StreamElement): Unit = {
     tally.countEdge(sample, el.edge.left, el.edge.right, weight(el))
@@ -115,9 +118,10 @@ class Abacus(val k: Int, seed: Long) {
 object Abacus {
 
   /** Running sums of Algorithm 1's per-edge step: the estimate, the
-    * set-intersection probes and the butterflies found.
+    * set-intersection probes and the butterflies found. FLEET counts
+    * through the same step with its own reservoir and weight 1/p³.
     */
-  private[core] final class Tally {
+  private[repro] final class Tally {
     var estimate: Double = 0.0
     var work: Long = 0L
     var found: Long = 0L

@@ -17,7 +17,7 @@ import scala.collection.immutable.ArraySeq
   * takes it out. [[apply]] returns them in order, so [[Abacus.advanceBatch]]
   * can log the versions of S for PARABACUS; [[Abacus.process]] ignores them.
   * Without deletions `c_b = c_g = 0` and this is classic reservoir sampling,
-  * which CAS-R drives directly.
+  * which CAS-R gets by feeding an [[Abacus]] only insertions.
   */
 final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: SplittableRandom) {
   require(k >= 2, s"memory budget k must be >= 2, got $k")

@@ -18,8 +18,8 @@ object Experiments {
   def runAlgorithm(name: String, k: Int, seed: Long,
                    stream: Iterable[StreamElement]): Double = name match {
     case "abacus" => new Abacus(k, seed).processAll(stream)
-    case "fleet"  => new Fleet(k, Fleet.DefaultGamma, seed).processAll(stream)
-    case "cas"    => new Cas(k, Cas.DefaultLambda, seed).processAll(stream)
+    case "fleet"  => new Fleet(k, seed).processAll(stream)
+    case "cas"    => new Cas(k, seed).processAll(stream)
     case other    => sys.error(s"unknown algorithm $other")
   }
 

@@ -52,5 +52,4 @@ object TablePrinter {
   def pct(x: Double): String = f"${x * 100}%.2f%%"
   def dbl(x: Double): String = f"$x%.2f"
   def sci(x: Double): String = f"$x%.2e"
-  def int(x: Long): String = x.toString
 }

@@ -1,7 +1,7 @@
 package repro.graph
 
 import repro.SynthData
-import repro.core.{Edge, ExactButterflyCounter, StreamElement}
+import repro.core.{ExactButterflyCounter, StreamElement}
 import scala.collection.concurrent.TrieMap
 
 /** Paper-reported statistics of the original KONECT dataset (Table II),
@@ -90,20 +90,21 @@ object Datasets {
 
   private[graph] def streamOf(d: LiteDataset, alpha: Double, seed: Long): Vector[StreamElement] =
     streamCache.getOrElseUpdate((d.name, alpha, seed),
-      if (alpha == 0.0) StreamGen.insertOnly(edgesOf(d))
-      else StreamGen.fullyDynamic(edgesOf(d), alpha, seed))
+      StreamGen.fullyDynamic(edgesOf(d), alpha, seed))
 
   private[graph] def exactFinalOf(d: LiteDataset, alpha: Double, seed: Long): Long =
     exactCache.getOrElseUpdate((d.name, alpha, seed),
       new ExactButterflyCounter().processAll(streamOf(d, alpha, seed)))
 
-  /** Measured Table II row for one analog (exact counts; driver-side). */
+  /** Measured Table II row for one analog (exact counts; driver-side).
+    * |B| is the cached exact count of the insert-only stream, which inserts
+    * every edge once.
+    */
   def stats(d: LiteDataset): DatasetStats = {
     val es = edgesOf(d)
     val left = es.iterator.map(_._1).toSet.size.toLong
     val right = es.iterator.map(_._2).toSet.size.toLong
-    val b = ExactButterflyCounter.countStatic(
-      es.iterator.map { case (l, r) => Edge(l, r) })
+    val b = exactFinalOf(d, 0.0, 7L)
     val pairs = (x: Long) => x.toDouble * (x - 1) / 2.0
     DatasetStats(d.name, es.length.toLong, left, right, b,
       if (left >= 2 && right >= 2) b / (pairs(left) * pairs(right)) else 0.0)

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Exact butterfly counting in Spark SQL (Catalyst) over an edge DataFrame
@@ -18,24 +18,15 @@ import org.apache.spark.sql.functions._
 object ExactButterflySQL {
 
   /** Butterfly count as a one-row DataFrame (column `butterflies`),
-    * enumerating pairs of right vertices joined on shared left vertices.
+    * joining the edges on the `pivot` column ("l" or "r") and enumerating
+    * pairs of vertices of the other side that share a pivot vertex.
     */
-  def butterflyDfViaLeftJoin(edges: DataFrame): DataFrame = {
-    val e1 = edges.select(col("l"), col("r").as("r1"))
-    val e2 = edges.select(col("l"), col("r").as("r2"))
-    e1.join(e2, e1("l") === e2("l") && col("r1") < col("r2"))
-      .groupBy(col("r1"), col("r2"))
-      .agg(count(lit(1)).as("cn"))
-      .agg(coalesce(sum(col("cn") * (col("cn") - 1)), lit(0L)).as("s"))
-      .select((col("s") / 2).cast("long").as("butterflies"))
-  }
-
-  /** Same count enumerating pairs of left vertices joined on shared rights. */
-  def butterflyDfViaRightJoin(edges: DataFrame): DataFrame = {
-    val e1 = edges.select(col("r"), col("l").as("l1"))
-    val e2 = edges.select(col("r"), col("l").as("l2"))
-    e1.join(e2, e1("r") === e2("r") && col("l1") < col("l2"))
-      .groupBy(col("l1"), col("l2"))
+  def butterflyDf(edges: DataFrame, pivot: String): DataFrame = {
+    val other = if (pivot == "l") "r" else "l"
+    val e1 = edges.select(col(pivot), col(other).as("v1"))
+    val e2 = edges.select(col(pivot), col(other).as("v2"))
+    e1.join(e2, e1(pivot) === e2(pivot) && col("v1") < col("v2"))
+      .groupBy(col("v1"), col("v2"))
       .agg(count(lit(1)).as("cn"))
       .agg(coalesce(sum(col("cn") * (col("cn") - 1)), lit(0L)).as("s"))
       .select((col("s") / 2).cast("long").as("butterflies"))
@@ -49,14 +40,11 @@ object ExactButterflySQL {
 
   /** Exact butterfly count, enumerating on the cheaper side. */
   def butterflies(edges: DataFrame): Long = {
-    val df =
-      if (sumSquaredDegrees(edges, "l") <= sumSquaredDegrees(edges, "r"))
-        butterflyDfViaLeftJoin(edges)
-      else butterflyDfViaRightJoin(edges)
-    df.head().getLong(0)
+    val pivot = if (sumSquaredDegrees(edges, "l") <= sumSquaredDegrees(edges, "r")) "l" else "r"
+    butterflyDf(edges, pivot).head().getLong(0)
   }
 
-  /** DuckDB-compatible SQL equivalent of [[butterflyDfViaLeftJoin]] over a
+  /** DuckDB-compatible SQL equivalent of `butterflyDf(edges, "l")` over a
     * table `edges(l VARCHAR, r VARCHAR)` staged by the oracle.
     */
   val oracleSqlViaLeftJoin: String =

@@ -54,10 +54,6 @@ object StreamGen {
     events.sortBy(_._1).iterator.map(_._2).toVector
   }
 
-  /** Insert-only stream in natural order (α = 0 shortcut). */
-  def insertOnly(edges: IndexedSeq[(Long, Long)]): Vector[StreamElement] =
-    edges.iterator.map { case (l, r) => StreamElement.insert(l, r) }.toVector
-
   /** Final graph of a stream: edges inserted and never subsequently deleted. */
   def finalEdges(stream: Iterable[StreamElement]): Set[Edge] = {
     val live = scala.collection.mutable.LinkedHashSet.empty[Edge]

@@ -37,9 +37,13 @@ object TestGraphs {
                    seed: Long): Vector[StreamElement] =
     StreamGen.fullyDynamic(randomEdges(nL, nR, m, seed), alpha, seed + 1)
 
+  /** Insert-only stream of `edges` in the given order. */
+  def inserts(edges: Seq[(Long, Long)]): Vector[StreamElement] =
+    edges.iterator.map { case (l, r) => StreamElement.insert(l, r) }.toVector
+
   /** Insert-only stream over K_{a,b}. */
   def completeStream(a: Int, b: Int): Vector[StreamElement] =
-    StreamGen.insertOnly(completeBipartite(a, b))
+    inserts(completeBipartite(a, b))
 
   /** The running example of Fig. 1b: sample S with left vertices {l1, l2}
     * plus u, right vertices {r2, v}(=r1); S = {(l1,v), (l2,v), (u,r2),

@@ -42,7 +42,6 @@ class MetricsSpec extends AnyFunSuite {
   test("formatting helpers") {
     assert(TablePrinter.pct(0.1234) === "12.34%")
     assert(TablePrinter.dbl(1.567) === "1.57")
-    assert(TablePrinter.int(42L) === "42")
     assert(TablePrinter.sci(12345.0) === "1.23e+04")
   }
 }

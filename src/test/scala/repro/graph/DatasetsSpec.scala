@@ -1,6 +1,8 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
+import repro.core.{Edge, ExactButterflyCounter}
 
 class DatasetsSpec extends AnyFunSuite {
 
@@ -37,7 +39,7 @@ class DatasetsSpec extends AnyFunSuite {
   test("exact final count is consistent with an independent recount") {
     val truth = tiny.exactFinalCount(0.2)
     val recount = {
-      val c = new repro.core.ExactButterflyCounter
+      val c = new ExactButterflyCounter
       c.processAll(tiny.stream(0.2))
       c.count
     }
@@ -47,8 +49,8 @@ class DatasetsSpec extends AnyFunSuite {
 
   test("insert-only exact count equals the static count of all edges") {
     val viaStream = {
-      val c = new repro.core.ExactButterflyCounter
-      c.processAll(StreamGen.insertOnly(tiny.edges))
+      val c = new ExactButterflyCounter
+      c.processAll(TestGraphs.inserts(tiny.edges))
       c.count
     }
     assert(tiny.exactFinalCount(0.0) === viaStream)
@@ -60,6 +62,8 @@ class DatasetsSpec extends AnyFunSuite {
     assert(s.left > 0 && s.left <= 60)
     assert(s.right > 0 && s.right <= 40)
     assert(s.butterflies > 0)
+    assert(s.butterflies === ExactButterflyCounter.countStatic(
+      tiny.edges.iterator.map { case (l, r) => Edge(l, r) }))
     assert(s.density > 0)
   }
 

@@ -30,8 +30,8 @@ class ExactButterflySQLSpec extends SparkSpec {
     (1 to 5).foreach { trial =>
       val edges = TestGraphs.randomEdges(15, 12, 80, trial.toLong)
       val df = edgesDf(edges)
-      val viaL = ExactButterflySQL.butterflyDfViaLeftJoin(df).head().getLong(0)
-      val viaR = ExactButterflySQL.butterflyDfViaRightJoin(df).head().getLong(0)
+      val viaL = ExactButterflySQL.butterflyDf(df, "l").head().getLong(0)
+      val viaR = ExactButterflySQL.butterflyDf(df, "r").head().getLong(0)
       assert(viaL === viaR, s"trial $trial")
     }
   }
@@ -50,7 +50,7 @@ class ExactButterflySQLSpec extends SparkSpec {
     (1 to 3).foreach { trial =>
       val df = edgesDf(TestGraphs.randomEdges(15, 12, 90, 200L + trial))
       Oracle.assertEquivalent(
-        ExactButterflySQL.butterflyDfViaLeftJoin(df),
+        ExactButterflySQL.butterflyDf(df, "l"),
         ExactButterflySQL.oracleSqlViaLeftJoin,
         "edges" -> df)
     }
@@ -59,7 +59,7 @@ class ExactButterflySQLSpec extends SparkSpec {
   test("oracle: Spark butterfly count equals DuckDB on a complete bipartite graph") {
     val df = edgesDf(TestGraphs.completeBipartite(5, 4))
     Oracle.assertEquivalent(
-      ExactButterflySQL.butterflyDfViaLeftJoin(df),
+      ExactButterflySQL.butterflyDf(df, "l"),
       ExactButterflySQL.oracleSqlViaLeftJoin,
       "edges" -> df)
   }
@@ -80,7 +80,7 @@ class ExactButterflySQLSpec extends SparkSpec {
       ExactButterflySQL.oracleSizeStatsSql,
       "edges" -> df)
     Oracle.assertEquivalent(
-      ExactButterflySQL.butterflyDfViaLeftJoin(df),
+      ExactButterflySQL.butterflyDf(df, "l"),
       ExactButterflySQL.oracleSqlViaLeftJoin,
       "edges" -> df)
   }

@@ -15,10 +15,6 @@ class StreamGenSpec extends AnyFunSuite {
     assert(s.map(e => (e.edge.left, e.edge.right)) === edges.toVector)
   }
 
-  test("insertOnly matches fullyDynamic with alpha=0") {
-    assert(StreamGen.insertOnly(edges) === StreamGen.fullyDynamic(edges, 0.0, 9L))
-  }
-
   test("stream length is m·(1+alpha)") {
     for (alpha <- Seq(0.05, 0.1, 0.2, 0.3)) {
       val s = StreamGen.fullyDynamic(edges, alpha, 2L)
