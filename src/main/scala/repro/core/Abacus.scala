@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.SplittableRandom
+import java.util.{Arrays, SplittableRandom}
 
 /** ABACUS (Algorithm 1): approximate butterfly counting over a fully
   * dynamic bipartite graph stream.
@@ -82,25 +82,30 @@ class Abacus(val k: Int, seed: Long) {
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
     val weights = new Array[Double](m)
-    val version = Array.newBuilder[Int]
-    val isInsert = Array.newBuilder[Boolean]
-    val left = Array.newBuilder[Long]
-    val right = Array.newBuilder[Long]
-    def log(v: Int, insert: Boolean, e: Edge): Unit = {
-      version += v; isInsert += insert; left += e.left; right += e.right
-    }
-    sample.snapshotEdges().foreach(log(0, true, _))
+    // The log is S_0 plus at most two changes per edge; trimmed at the end.
+    val s0 = sample.size
+    val capacity = s0 + 2 * m
+    val version = new Array[Int](capacity)
+    val isInsert = new Array[Boolean](capacity)
+    val left = new Array[Long](capacity)
+    val right = new Array[Long](capacity)
+    sample.copyEdgesTo(left, right)
+    Arrays.fill(isInsert, 0, s0, true)
+    var n = s0
     var i = 0
     while (i < m) {
       val el = batch(i)
       elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
       weights(i) = weight(el)
       // Changes of edge i become visible at version i+1.
-      rp.apply(el).foreach(c => log(i + 1, c.isInsert, c.edge))
+      rp.apply(el).foreach { c =>
+        version(n) = i + 1; isInsert(n) = c.isInsert; left(n) = c.edge.left; right(n) = c.edge.right
+        n += 1
+      }
       i += 1
     }
-    VersionedSampleSnapshot(version.result(), isInsert.result(), left.result(), right.result(),
-      elemLeft, elemRight, weights)
+    VersionedSampleSnapshot(Arrays.copyOf(version, n), Arrays.copyOf(isInsert, n),
+      Arrays.copyOf(left, n), Arrays.copyOf(right, n), elemLeft, elemRight, weights)
   }
 
   /** PARABACUS phase 3: add the partial counts of a batch advanced by

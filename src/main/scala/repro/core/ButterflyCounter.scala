@@ -14,6 +14,10 @@ package repro.core
   * smaller set. Butterflies and probes are integer sums over the sets'
   * members, so neither depends on the order in which a [[LongSet]] holds
   * them.
+  *
+  * The cumulative degrees are only compared, so only the side with fewer
+  * neighbours is summed in full; the other is summed until it reaches that
+  * sum, which spares the walk over a hub side that loses the comparison.
   */
 object ButterflyCounter {
 
@@ -33,7 +37,7 @@ object ButterflyCounter {
 
     if (nu.isEmpty || nv.isEmpty) return Result(0L, 0L)
 
-    if (cumDegree(view, nu, right = true) <= cumDegree(view, nv, right = false))
+    if (uIsCheaper(view, nu, nv))
       // Explore w ∈ N_u^S \ {v}; intersect N_w^S with N_v^S, excluding u.
       explore(view, nu, right = true, skip = v, nv, exclude = u)
     else
@@ -46,11 +50,29 @@ object ButterflyCounter {
   private def neighbors(view: AdjView, x: Long, right: Boolean): LongSet =
     if (right) view.rightNeighbors(x) else view.leftNeighbors(x)
 
-  /** Σ of the view degrees of the members of `s` (right vertices if `right`). */
-  private def cumDegree(view: AdjView, s: LongSet, right: Boolean): Long = {
+  /** Whether `Σ_{w ∈ nu} d(w) ≤ Σ_{x ∈ nv} d(x)` (explore u, ties
+    * included). The side with fewer members is summed in full, to `s`; the
+    * other stops once it reaches its cap, and a capped sum is at least the
+    * cap exactly when the full sum is. With the cap `s` for Σ_v, the capped
+    * sum is ≥ s iff Σ_v ≥ s; with the cap `s + 1` for Σ_u, it is ≤ s iff
+    * Σ_u ≤ s. So the decision equals the one over full sums.
+    */
+  private def uIsCheaper(view: AdjView, nu: LongSet, nv: LongSet): Boolean =
+    if (nu.size <= nv.size) {
+      val s = cumDegree(view, nu, right = true, Long.MaxValue)
+      s <= cumDegree(view, nv, right = false, s)
+    } else {
+      val s = cumDegree(view, nv, right = false, Long.MaxValue)
+      cumDegree(view, nu, right = true, s + 1) <= s
+    }
+
+  /** Σ of the view degrees of the members of `s` (right vertices if
+    * `right`), in slot order, stopping once it reaches `cap`.
+    */
+  private def cumDegree(view: AdjView, s: LongSet, right: Boolean, cap: Long): Long = {
     var sum = 0L
     var i = s.start
-    while (i < s.end) {
+    while (i < s.end && sum < cap) {
       if (s.occupied(i)) sum += neighbors(view, s.keyAt(i), right).size
       i += 1
     }

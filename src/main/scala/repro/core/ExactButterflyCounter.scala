@@ -13,15 +13,16 @@ package repro.core
   *    per-edge count (computed *before* removing the edge).
   */
 final class ExactButterflyCounter {
-  private val graph = new AdjacencySample // reused as a full-graph adjacency
+  private val graph = new Adjacency
 
   private var countVal: Long = 0L
+  private var edges: Long = 0L
 
   /** Exact butterfly count |B^(t)|. */
   def count: Long = countVal
 
   /** Number of live edges |E^(t)|. */
-  def edgeCount: Long = graph.size.toLong
+  def edgeCount: Long = edges
 
   /** Read-only adjacency view of the full graph. */
   def view: AdjView = graph
@@ -29,18 +30,21 @@ final class ExactButterflyCounter {
   /** Apply one stream element, keeping the count exact. */
   def process(el: StreamElement): Unit = {
     val e = el.edge
+    val present = graph.leftNeighbors(e.left).contains(e.right)
     if (el.isInsert) {
-      require(!graph.contains(e), s"duplicate insertion of $e")
+      require(!present, s"duplicate insertion of $e")
       val r = ButterflyCounter.countForEdge(graph, e.left, e.right)
       countVal += r.butterflies
-      graph.add(e)
+      graph.add(e.left, e.right)
+      edges += 1
     } else {
-      require(graph.contains(e), s"deletion of missing edge $e")
+      require(present, s"deletion of missing edge $e")
       // Count with the edge still present; countForEdge excludes the
       // endpoints so the edge itself never participates as a "third" edge.
       val r = ButterflyCounter.countForEdge(graph, e.left, e.right)
       countVal -= r.butterflies
-      graph.remove(e)
+      graph.remove(e.left, e.right)
+      edges -= 1
     }
   }
 

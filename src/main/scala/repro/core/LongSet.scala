@@ -1,7 +1,7 @@
 package repro.core
 
 /** Open-addressing hash set of primitive `Long`s — the neighbour sets of an
-  * [[AdjacencySample]].
+  * [[Adjacency]].
   *
   * One `Array[Long]` of slots, linear probing from a multiplicative
   * (Fibonacci) hash, load ≤ 0.5. `0L` marks an empty slot, so key 0 lives in

@@ -34,10 +34,12 @@ final case class VersionedSampleSnapshot(
   * Applies the change log in order, exposing an [[AdjView]] of the current
   * version; a fresh replayer is at version 0 (S_0, O(k)). Each PARABACUS
   * task owns one replayer for its contiguous range of edges, so a task pays
-  * O(k + M) to reconstruct and then walks versions incrementally.
+  * O(k + M) to reconstruct and then walks versions incrementally. The log
+  * is consistent by construction, so the replayer keeps adjacency only: no
+  * edge registry, no [[Edge]] per entry.
   */
 final class SampleReplayer(snap: VersionedSampleSnapshot) {
-  private val adj = new AdjacencySample
+  private val adj = new Adjacency
   private var next = 0
   advanceTo(0)
 
@@ -46,8 +48,8 @@ final class SampleReplayer(snap: VersionedSampleSnapshot) {
     */
   def advanceTo(v: Int): Unit = {
     while (next < snap.version.length && snap.version(next) <= v) {
-      val e = Edge(snap.left(next), snap.right(next))
-      if (snap.isInsert(next)) adj.add(e) else adj.remove(e)
+      if (snap.isInsert(next)) adj.add(snap.left(next), snap.right(next))
+      else adj.remove(snap.left(next), snap.right(next))
       next += 1
     }
   }

@@ -113,4 +113,89 @@ class AdjacencySampleSpec extends AnyFunSuite {
       }
     }
   }
+
+  /** The registry the sample replaced: `ArrayBuffer` swap-remove. */
+  private final class SwapRemoveModel {
+    val edges = scala.collection.mutable.ArrayBuffer.empty[Edge]
+    def add(e: Edge): Unit = edges += e
+    def remove(e: Edge): Unit = {
+      val pos = edges.indexOf(e)
+      val last = edges.remove(edges.length - 1)
+      if (pos < edges.length) edges(pos) = last
+    }
+    def randomEdge(rng: java.util.SplittableRandom): Edge = edges(rng.nextInt(edges.length))
+  }
+
+  private def assertMatches(s: AdjacencySample, model: SwapRemoveModel, clue: String): Unit = {
+    assert(s.size === model.edges.length, clue)
+    assert(s.snapshotEdges().toSeq === model.edges.toSeq, clue)
+    model.edges.groupBy(_.left).foreach { case (l, es) =>
+      assert(ids(s.leftNeighbors(l)) === es.map(_.right).toSet, s"$clue: neighbours of left $l")
+    }
+    model.edges.groupBy(_.right).foreach { case (r, es) =>
+      assert(ids(s.rightNeighbors(r)) === es.map(_.left).toSet, s"$clue: neighbours of right $r")
+    }
+  }
+
+  test("property: add/remove/contains/randomEdge match ArrayBuffer swap-remove under the same rng") {
+    (1 to 30).foreach { trial =>
+      val ops = new java.util.SplittableRandom(trial.toLong)
+      val rng = new java.util.SplittableRandom(1000L + trial)
+      val modelRng = new java.util.SplittableRandom(1000L + trial)
+      val s = new AdjacencySample
+      val model = new SwapRemoveModel
+      val slotSizes = scala.collection.mutable.Set(s.indexSlots)
+      // Ids −5..34 on both sides (0 and negatives included); a growing phase
+      // then a shrinking one, so the table resizes several times and the
+      // sample empties out again.
+      (1 to 2400).foreach { step =>
+        val e = Edge(ops.nextInt(40) - 5L, ops.nextInt(40) - 5L)
+        val present = model.edges.contains(e)
+        assert(s.contains(e) === present, s"trial $trial step $step contains $e")
+        val grow = if (step <= 1200) 0.8 else 0.2
+        ops.nextInt(10) match {
+          case 0 if model.edges.nonEmpty =>
+            assert(s.randomEdge(rng) === model.randomEdge(modelRng), s"trial $trial step $step draw")
+          case 1 if model.edges.nonEmpty => // RP's replacement: remove a random edge
+            val victim = s.randomEdge(rng)
+            assert(victim === model.randomEdge(modelRng), s"trial $trial step $step victim")
+            s.remove(victim); model.remove(victim)
+          case _ =>
+            if (!present && ops.nextDouble() < grow) { s.add(e); model.add(e) }
+            else if (present && ops.nextDouble() >= grow) { s.remove(e); model.remove(e) }
+        }
+        slotSizes += s.indexSlots
+        if (step % 200 == 0) assertMatches(s, model, s"trial $trial step $step")
+      }
+      assertMatches(s, model, s"trial $trial end")
+      assert(slotSizes.size >= 5, s"trial $trial: table sizes $slotSizes")
+    }
+  }
+
+  test("removal inside a probe run that wraps past the end of the position table") {
+    // Up to 8 edges the table has 16 slots: two edges whose home is the last
+    // slot and one whose home is slot 0 fill slots 15, 0 and 1.
+    val probe = new AdjacencySample
+    assert(probe.indexSlots === 16)
+    val candidates = for (l <- (-20L to 20L).iterator; r <- (-20L to 20L).iterator) yield Edge(l, r)
+    val all = candidates.toVector
+    val atLast = all.filter(e => probe.home(e.left, e.right) == 15).take(2)
+    val atFirst = all.find(e => probe.home(e.left, e.right) == 0).get
+    val keys = atLast :+ atFirst
+    assert(keys.distinct.size === 3)
+    keys.permutations.foreach { order =>
+      keys.foreach { gone =>
+        val s = new AdjacencySample
+        val model = new SwapRemoveModel
+        order.foreach { e => s.add(e); model.add(e) }
+        assert(s.indexSlots === 16)
+        s.remove(gone); model.remove(gone)
+        assertMatches(s, model, s"order $order, removed $gone")
+        keys.foreach(e => assert(s.contains(e) === (e != gone), s"order $order, removed $gone: $e"))
+        s.add(gone); model.add(gone)
+        assertMatches(s, model, s"order $order, re-added $gone")
+        keys.foreach(e => assert(s.contains(e), s"order $order, re-added $gone: $e"))
+      }
+    }
+  }
 }

@@ -131,4 +131,59 @@ class ButterflyCounterSpec extends AnyFunSuite {
     // 2 hits (2, 3; u excluded); |N(11)| = 2 vs 3 → 2 probes, 1 hit (-4).
     assert(ButterflyCounter.countForEdge(s, 0L, -20L) === ButterflyCounter.Result(3L, 5L))
   }
+
+  /** Algorithm 1, lines 7–11, with both cumulative degrees summed in full:
+    * explore u iff Σ_{w ∈ N(u)} d(w) ≤ Σ_{x ∈ N(v)} d(x); each intersection
+    * costs the smaller set's size and skips the other endpoint.
+    */
+  private def reference(edges: Set[Edge], u: Long, v: Long): (ButterflyCounter.Result, Boolean) = {
+    val nL = edges.groupMap(_.left)(_.right).withDefaultValue(Set.empty[Long])
+    val nR = edges.groupMap(_.right)(_.left).withDefaultValue(Set.empty[Long])
+    val (nu, nv) = (nL(u), nR(v))
+    if (nu.isEmpty || nv.isEmpty) return (ButterflyCounter.Result(0L, 0L), true)
+    val sumU = nu.toSeq.map(nR(_).size.toLong).sum
+    val sumV = nv.toSeq.map(nL(_).size.toLong).sum
+    val exploreU = sumU <= sumV
+    val (outer, adjOf, skip, other, exclude) =
+      if (exploreU) (nu, nR, v, nv, u) else (nv, nL, u, nu, v)
+    val sides = (outer - skip).toSeq.map(adjOf)
+    val found = sides.map(n => (n & other - exclude).size.toLong).sum
+    val work = sides.map(n => math.min(n.size, other.size).toLong).sum
+    (ButterflyCounter.Result(found, work), exploreU)
+  }
+
+  test("property: the capped cheapest-side rule gives the butterflies and work of full sums") {
+    val rng = new java.util.SplittableRandom(17L)
+    // A skewed draw from n ids starting at −3 (0 and negatives included):
+    // cubing a uniform piles draws on the lowest ids, the hubs.
+    def id(n: Int, skew: Boolean): Long = {
+      val x = rng.nextDouble()
+      -3L + (n * (if (skew) x * x * x else x)).toLong
+    }
+    var exploredU, exploredV, tiesUSmaller, tiesVSmaller = 0
+    (1 to 400).foreach { trial =>
+      val mode = trial % 4 // 0: hubs right (u side), 1: hubs left (v side), 2: uniform, 3: mirrored
+      val n = 4 + rng.nextInt(12)
+      val drawn = Seq.fill(5 + rng.nextInt(40))(Edge(id(n, mode == 1), id(n, mode == 0))).toSet
+      // Mirrored: (a, b) present iff (b, a) is, so the endpoints u = v = c
+      // have equal neighbour sets and equal cumulative degrees.
+      val edges = if (mode == 3) drawn ++ drawn.map(e => Edge(e.right, e.left)) else drawn
+      val view = viewOf(edges)
+      for (u <- -3L until n - 3L; v <- -3L until n - 3L) {
+        val (want, exploreU) = reference(edges, u, v)
+        assert(ButterflyCounter.countForEdge(view, u, v) === want, s"trial $trial mode $mode ($u, $v)")
+        val nu = view.leftNeighbors(u)
+        val nv = view.rightNeighbors(v)
+        if (!nu.isEmpty && !nv.isEmpty) {
+          if (exploreU) exploredU += 1 else exploredV += 1
+          val sumU = edges.iterator.filter(_.left == u).map(e => view.rightNeighbors(e.right).size).sum
+          val sumV = edges.iterator.filter(_.right == v).map(e => view.leftNeighbors(e.left).size).sum
+          if (sumU == sumV) { if (nu.size <= nv.size) tiesUSmaller += 1 else tiesVSmaller += 1 }
+        }
+      }
+    }
+    // Both outcomes and ties with either side smaller all occurred.
+    assert(Seq(exploredU, exploredV, tiesUSmaller, tiesVSmaller).forall(_ > 50),
+      s"u $exploredU, v $exploredV, ties u-smaller $tiesUSmaller, v-smaller $tiesVSmaller")
+  }
 }
