@@ -5,7 +5,8 @@ import repro.experiments.Tables
 import repro.graph.Datasets
 
 /** Table 8 — PARABACUS speedup over ABACUS while varying the mini-batch
-  * size, using all 16 cores (paper Fig. 8, 40 threads). Expected shapes:
+  * size, on Spark `local[*]` over the machine's cores (paper Fig. 8, 40
+  * threads). Expected shapes:
   * speedup grows with the mini-batch size and with the sample size, and the
   * butterfly-dense analogs gain the most. Absolute values are below the
   * paper's because one Spark job per mini-batch costs milliseconds where a

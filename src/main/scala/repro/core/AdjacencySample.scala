@@ -62,44 +62,32 @@ final class Adjacency extends AdjView {
   }
 }
 
-/** Mutable bipartite edge sample: an [[Adjacency]] plus a dense registry of
-  * the sampled edges, so Random Pairing's "replace a random edge"
+/** Mutable bipartite edge sample: an [[Adjacency]] plus a registry of the
+  * sampled edges, so Random Pairing's "replace a random edge"
   * (Algorithm 2, line 6) is O(1) via swap-remove.
   *
-  * The registry holds edge `j` as `(lefts(j), rights(j))` for `j < size`,
-  * and finds an edge's position through an open-addressing table of `Int`
-  * positions — linear probing, load ≤ 0.5, backward-shift deletion, as in
-  * [[LongSet]]. A slot holds position + 1, so 0 marks an empty slot.
+  * The registry is a [[DenseSet]] of edges: edge `j` is
+  * `(lefts(j), rights(j))` for `j < size`, in `ArrayBuffer` swap-remove
+  * order.
   */
-final class AdjacencySample extends AdjView {
+final class AdjacencySample extends DenseSet(8) with AdjView {
   private val adj = new Adjacency
-  private var lefts = new Array[Long](8)
-  private var rights = new Array[Long](8)
-  private var count = 0
-  private var slots = new Array[Int](16)
-  private var shift = 60 // 64 − log2(slots.length): the hash keeps the top bits
+  private var lefts = new Array[Long](capacity)
+  private var rights = new Array[Long](capacity)
 
   override def leftNeighbors(u: Long): LongSet = adj.leftNeighbors(u)
 
   override def rightNeighbors(v: Long): LongSet = adj.rightNeighbors(v)
 
-  /** Number of edges currently in the sample (|S|). */
-  def size: Int = count
-
   /** Whether edge `e` is currently sampled. */
-  def contains(e: Edge): Boolean = slotOf(e.left, e.right) >= 0
+  def contains(e: Edge): Boolean = positionAt(slotOf(e.left, e.right)) >= 0
 
   /** Add edge `e`, which must not be present. */
   def add(e: Edge): Unit = {
     require(!contains(e), s"edge $e already in sample")
-    if (count == lefts.length) {
-      lefts = Arrays.copyOf(lefts, 2 * count)
-      rights = Arrays.copyOf(rights, 2 * count)
-    }
-    lefts(count) = e.left
-    rights(count) = e.right
-    count += 1
-    if (2 * count > slots.length) rehash() else place(count - 1)
+    val p = nextPosition(AdjacencySample.hash(e.left, e.right))
+    lefts(p) = e.left
+    rights(p) = e.right
     adj.add(e.left, e.right)
   }
 
@@ -107,87 +95,51 @@ final class AdjacencySample extends AdjView {
     * position.
     */
   def remove(e: Edge): Unit = {
-    val gap = slotOf(e.left, e.right)
-    if (gap < 0) sys.error(s"edge $e not in sample")
-    val pos = slots(gap) - 1
-    val last = count - 1
-    if (pos < last) {
-      slots(slotOf(lefts(last), rights(last))) = pos + 1
-      lefts(pos) = lefts(last)
-      rights(pos) = rights(last)
-    }
-    count = last
-    unslot(gap)
+    val slot = slotOf(e.left, e.right)
+    if (positionAt(slot) < 0) sys.error(s"edge $e not in sample")
+    removeSlot(slot)
     adj.remove(e.left, e.right)
   }
 
   /** A uniformly random sampled edge (for RP's replacement step). */
   def randomEdge(rng: java.util.SplittableRandom): Edge = {
-    val j = rng.nextInt(count)
+    val j = rng.nextInt(size)
     Edge(lefts(j), rights(j))
   }
 
   /** Immutable snapshot of the sampled edges, in registry order. */
-  def snapshotEdges(): Array[Edge] = Array.tabulate(count)(j => Edge(lefts(j), rights(j)))
+  def snapshotEdges(): Array[Edge] = Array.tabulate(size)(j => Edge(lefts(j), rights(j)))
 
   /** Copy the sampled edges, in registry order, to the front of `l` and `r`. */
   private[core] def copyEdgesTo(l: Array[Long], r: Array[Long]): Unit = {
-    System.arraycopy(lefts, 0, l, 0, count)
-    System.arraycopy(rights, 0, r, 0, count)
+    System.arraycopy(lefts, 0, l, 0, size)
+    System.arraycopy(rights, 0, r, 0, size)
   }
 
-  /** Number of slots of the position table. */
-  private[core] def indexSlots: Int = slots.length
+  protected def hashAt(pos: Int): Long = AdjacencySample.hash(lefts(pos), rights(pos))
 
-  /** Home slot of the edge `(l, r)`. */
-  private[core] def home(l: Long, r: Long): Int =
-    (((l * 0x9E3779B97F4A7C15L) ^ r) * 0xC2B2AE3D27D4EB4FL >>> shift).toInt
-
-  /** Slot that holds the position of `(l, r)`, or −1 if it is not sampled. */
-  private def slotOf(l: Long, r: Long): Int = {
-    val mask = slots.length - 1
-    var i = home(l, r)
-    var p = slots(i)
-    while (p != 0) {
-      if (lefts(p - 1) == l && rights(p - 1) == r) return i
-      i = (i + 1) & mask
-      p = slots(i)
-    }
-    -1
+  protected def move(from: Int, to: Int): Unit = {
+    lefts(to) = lefts(from)
+    rights(to) = rights(from)
   }
 
-  /** Enter position `j`, whose edge is absent from the table. */
-  private def place(j: Int): Unit = {
-    val mask = slots.length - 1
-    var i = home(lefts(j), rights(j))
-    while (slots(i) != 0) i = (i + 1) & mask
-    slots(i) = j + 1
+  protected def grow(capacity: Int): Unit = {
+    lefts = Arrays.copyOf(lefts, capacity)
+    rights = Arrays.copyOf(rights, capacity)
   }
 
-  /** Empty slot `gap`. Backward shift: pull each later entry of the run
-    * into the gap unless the gap lies before its home slot (it would become
-    * unreachable).
+  /** Slot that holds the position of `(l, r)`, or else the empty slot that
+    * ends its probe run.
     */
-  private def unslot(gap: Int): Unit = {
-    val mask = slots.length - 1
-    var g = gap
-    var j = (g + 1) & mask
-    while (slots(j) != 0) {
-      val p = slots(j) - 1
-      if (((j - home(lefts(p), rights(p))) & mask) >= ((j - g) & mask)) {
-        slots(g) = slots(j)
-        g = j
-      }
-      j = (j + 1) & mask
-    }
-    slots(g) = 0
+  private def slotOf(l: Long, r: Long): Int = {
+    var i = home(AdjacencySample.hash(l, r))
+    var p = positionAt(i)
+    while (p >= 0 && (lefts(p) != l || rights(p) != r)) { i = nextSlot(i); p = positionAt(i) }
+    i
   }
+}
 
-  /** Double the table and re-enter every position. */
-  private def rehash(): Unit = {
-    slots = new Array[Int](2 * slots.length)
-    shift -= 1
-    var j = 0
-    while (j < count) { place(j); j += 1 }
-  }
+object AdjacencySample {
+  private[core] def hash(l: Long, r: Long): Long =
+    ((l * 0x9E3779B97F4A7C15L) ^ r) * 0xC2B2AE3D27D4EB4FL
 }

@@ -67,13 +67,13 @@ object ButterflyCounter {
     }
 
   /** Σ of the view degrees of the members of `s` (right vertices if
-    * `right`), in slot order, stopping once it reaches `cap`.
+    * `right`), in position order, stopping once it reaches `cap`.
     */
   private def cumDegree(view: AdjView, s: LongSet, right: Boolean, cap: Long): Long = {
     var sum = 0L
-    var i = s.start
-    while (i < s.end && sum < cap) {
-      if (s.occupied(i)) sum += neighbors(view, s.keyAt(i), right).size
+    var i = 0
+    while (i < s.size && sum < cap) {
+      sum += neighbors(view, s.keyAt(i), right).size
       i += 1
     }
     sum
@@ -86,10 +86,11 @@ object ButterflyCounter {
                       other: LongSet, exclude: Long): Result = {
     var found = 0L
     var work = 0L
-    var i = outer.start
-    while (i < outer.end) {
-      if (outer.occupied(i) && outer.keyAt(i) != skip) {
-        val packed = intersectCount(neighbors(view, outer.keyAt(i), right), other, exclude)
+    var i = 0
+    while (i < outer.size) {
+      val x = outer.keyAt(i)
+      if (x != skip) {
+        val packed = intersectCount(neighbors(view, x, right), other, exclude)
         found += packed >>> 32
         work += packed & 0xFFFFFFFFL
       }
@@ -109,12 +110,10 @@ object ButterflyCounter {
     val small = if (a.size <= b.size) a else b
     val large = if (small eq a) b else a
     var c = 0L
-    var i = small.start
-    while (i < small.end) {
-      if (small.occupied(i)) {
-        val x = small.keyAt(i)
-        if (x != exclude && large.contains(x)) c += 1
-      }
+    var i = 0
+    while (i < small.size) {
+      val x = small.keyAt(i)
+      if (x != exclude && large.contains(x)) c += 1
       i += 1
     }
     (c << 32) | small.size

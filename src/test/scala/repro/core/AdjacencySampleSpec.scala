@@ -144,7 +144,7 @@ class AdjacencySampleSpec extends AnyFunSuite {
       val modelRng = new java.util.SplittableRandom(1000L + trial)
       val s = new AdjacencySample
       val model = new SwapRemoveModel
-      val slotSizes = scala.collection.mutable.Set(s.indexSlots)
+      val slotSizes = scala.collection.mutable.Set(s.tableSlots.length)
       // Ids −5..34 on both sides (0 and negatives included); a growing phase
       // then a shrinking one, so the table resizes several times and the
       // sample empties out again.
@@ -164,7 +164,7 @@ class AdjacencySampleSpec extends AnyFunSuite {
             if (!present && ops.nextDouble() < grow) { s.add(e); model.add(e) }
             else if (present && ops.nextDouble() >= grow) { s.remove(e); model.remove(e) }
         }
-        slotSizes += s.indexSlots
+        slotSizes += s.tableSlots.length
         if (step % 200 == 0) assertMatches(s, model, s"trial $trial step $step")
       }
       assertMatches(s, model, s"trial $trial end")
@@ -176,11 +176,11 @@ class AdjacencySampleSpec extends AnyFunSuite {
     // Up to 8 edges the table has 16 slots: two edges whose home is the last
     // slot and one whose home is slot 0 fill slots 15, 0 and 1.
     val probe = new AdjacencySample
-    assert(probe.indexSlots === 16)
+    assert(probe.tableSlots.length === 16)
     val candidates = for (l <- (-20L to 20L).iterator; r <- (-20L to 20L).iterator) yield Edge(l, r)
     val all = candidates.toVector
-    val atLast = all.filter(e => probe.home(e.left, e.right) == 15).take(2)
-    val atFirst = all.find(e => probe.home(e.left, e.right) == 0).get
+    val atLast = all.filter(e => probe.home(AdjacencySample.hash(e.left, e.right)) == 15).take(2)
+    val atFirst = all.find(e => probe.home(AdjacencySample.hash(e.left, e.right)) == 0).get
     val keys = atLast :+ atFirst
     assert(keys.distinct.size === 3)
     keys.permutations.foreach { order =>
@@ -188,7 +188,8 @@ class AdjacencySampleSpec extends AnyFunSuite {
         val s = new AdjacencySample
         val model = new SwapRemoveModel
         order.foreach { e => s.add(e); model.add(e) }
-        assert(s.indexSlots === 16)
+        val t = s.tableSlots
+        assert(t.length === 16 && t(15) != 0 && t(0) != 0 && t(1) != 0, s"order $order: no wrap")
         s.remove(gone); model.remove(gone)
         assertMatches(s, model, s"order $order, removed $gone")
         keys.foreach(e => assert(s.contains(e) === (e != gone), s"order $order, removed $gone: $e"))

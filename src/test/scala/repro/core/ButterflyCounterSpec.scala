@@ -88,7 +88,7 @@ class ButterflyCounterSpec extends AnyFunSuite {
   test("matches brute force on random samples") {
     (1 to 60).foreach { trial =>
       // Trials past 30 shift the ids (1..8) to -3..4 on both sides, so 0L
-      // (the empty-slot marker of LongSet) and negatives are vertices.
+      // and negatives are vertices.
       val shift = if (trial > 30) -4L else 0L
       val edges = TestGraphs.randomEdges(8, 8, 20, trial.toLong)
         .map { case (l, r) => Edge(l + shift, r + shift) }

@@ -29,11 +29,15 @@ object LongSetSpec extends Properties("LongSet") {
     b.result()
   }
 
-  /** Size, membership and iteration (each member exactly once) agree. */
+  /** Size, membership, iteration and the dense positions (each member
+    * exactly once) agree.
+    */
   private def agrees(s: LongSet, model: Set[Long]): Boolean = {
     val it = members(s)
+    val dense = (0 until s.size).map(s.keyAt)
     s.size == model.size && s.isEmpty == model.isEmpty &&
-      it.size == model.size && it.toSet == model && model.forall(s.contains)
+      it.size == model.size && it.toSet == model && model.forall(s.contains) &&
+      dense.size == model.size && dense.toSet == model
   }
 
   property("random add/remove/contains agree with a Set model after every step") =
@@ -55,15 +59,16 @@ object LongSetSpec extends Properties("LongSet") {
     // whose home is slot 0 fill slots 7, 0 and 1, so the run wraps.
     val eight = new LongSet
     Seq(1L, 2L, 3L).foreach(eight.add)
-    assert(eight.end == 8)
-    val atLast = Iterator.from(1).map(_.toLong).filter(eight.home(_) == 7).take(2).toList
-    val atFirst = Iterator.from(1).map(_.toLong).find(eight.home(_) == 0).get
-    val keys = atLast :+ atFirst
+    assert(eight.tableSlots.length == 8)
+    def homedAt(slot: Int) =
+      Iterator.from(1).map(_.toLong).filter(k => eight.home(LongSet.hash(k)) == slot)
+    val keys = homedAt(7).take(2).toList :+ homedAt(0).next()
     keys.permutations.forall { order =>
       keys.forall { gone =>
         val s = new LongSet
         order.foreach(s.add)
-        val wraps = s.end == 8 && s.occupied(7) && s.occupied(0) && s.occupied(1)
+        val t = s.tableSlots
+        val wraps = t.length == 8 && t(7) != 0 && t(0) != 0 && t(1) != 0
         s.remove(gone)
         val afterRemove = agrees(s, keys.toSet - gone)
         s.add(gone)
