@@ -136,7 +136,7 @@ object Abacus {
       * `sgn(δ)/Pr(|E|, c_b, c_g)` for the Random Pairing state that `view`
       * is a sample of.
       */
-    def countEdge(view: AdjView, u: Long, v: Long, weight: Double): Unit = {
+    def countEdge(view: Adjacency, u: Long, v: Long, weight: Double): Unit = {
       val r = ButterflyCounter.countForEdge(view, u, v)
       work += r.work
       if (r.butterflies > 0) {

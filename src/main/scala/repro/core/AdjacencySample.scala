@@ -3,48 +3,41 @@ package repro.core
 import java.util.Arrays
 import scala.collection.mutable
 
-/** Read-only view of a bipartite adjacency structure.
+/** Bipartite adjacency lists (the paper stores sampled edges "using the
+  * adjacency list format", §VI-A): each side maps a vertex to the primitive
+  * [[LongSet]] of its neighbours, and a vertex leaves its map with its last
+  * edge.
   *
-  * [[ButterflyCounter]] counts butterflies against any implementation of
-  * this trait, so the same counting code serves the ABACUS sample, the
-  * PARABACUS per-version replayed sample, and the exact counter's full graph.
-  */
-trait AdjView {
-  /** Right-partition neighbours of left vertex `u` (empty if absent). */
-  def leftNeighbors(u: Long): LongSet
-
-  /** Left-partition neighbours of right vertex `v` (empty if absent). */
-  def rightNeighbors(v: Long): LongSet
-}
-
-/** Mutable bipartite adjacency lists (the paper stores sampled edges "using
-  * the adjacency list format", §VI-A): each side maps a vertex to the
-  * primitive [[LongSet]] of its neighbours, and a vertex leaves its map with
-  * its last edge.
+  * Every graph in this package is one: the ABACUS sample, a PARABACUS sample
+  * version and the exact counter's full graph, and [[ButterflyCounter]]
+  * counts against any of them. Only this package can [[link]] and
+  * [[unlink]], so every graph is read-only outside it.
   *
-  * It keeps no edge registry: [[add]] of a present edge and [[remove]] of an
-  * absent one are the caller's to rule out. The PARABACUS replayer applies a
-  * change log that is consistent by construction, and the exact counter
-  * checks membership through the neighbour set.
+  * The lists keep no edge registry: [[link]] of a present edge and
+  * [[unlink]] of an absent one are the caller's to rule out. The sample
+  * checks its registry, the replayer's change log is consistent by
+  * construction, and the exact counter checks the neighbour set.
   */
-final class Adjacency extends AdjView {
+trait Adjacency {
   private val adjL = mutable.LongMap.empty[LongSet]
   private val adjR = mutable.LongMap.empty[LongSet]
 
-  override def leftNeighbors(u: Long): LongSet = orEmpty(adjL.getOrNull(u))
+  /** Right-partition neighbours of left vertex `u` (empty if absent). */
+  final def leftNeighbors(u: Long): LongSet = orEmpty(adjL.getOrNull(u))
 
-  override def rightNeighbors(v: Long): LongSet = orEmpty(adjR.getOrNull(v))
+  /** Left-partition neighbours of right vertex `v` (empty if absent). */
+  final def rightNeighbors(v: Long): LongSet = orEmpty(adjR.getOrNull(v))
 
   private def orEmpty(s: LongSet): LongSet = if (s eq null) LongSet.empty else s
 
-  /** Add the edge `(l, r)`. */
-  def add(l: Long, r: Long): Unit = {
+  /** Add the edge `(l, r)`, which must be absent. */
+  private[core] final def link(l: Long, r: Long): Unit = {
     addTo(adjL, l, r)
     addTo(adjR, r, l)
   }
 
   /** Remove the edge `(l, r)`, which must be present. */
-  def remove(l: Long, r: Long): Unit = {
+  private[core] final def unlink(l: Long, r: Long): Unit = {
     removeFrom(adjL, l, r)
     removeFrom(adjR, r, l)
   }
@@ -70,14 +63,9 @@ final class Adjacency extends AdjView {
   * `(lefts(j), rights(j))` for `j < size`, in `ArrayBuffer` swap-remove
   * order.
   */
-final class AdjacencySample extends DenseSet(8) with AdjView {
-  private val adj = new Adjacency
+final class AdjacencySample extends DenseSet(8) with Adjacency {
   private var lefts = new Array[Long](capacity)
   private var rights = new Array[Long](capacity)
-
-  override def leftNeighbors(u: Long): LongSet = adj.leftNeighbors(u)
-
-  override def rightNeighbors(v: Long): LongSet = adj.rightNeighbors(v)
 
   /** Whether edge `e` is currently sampled. */
   def contains(e: Edge): Boolean = positionAt(slotOf(e.left, e.right)) >= 0
@@ -88,7 +76,7 @@ final class AdjacencySample extends DenseSet(8) with AdjView {
     val p = nextPosition(AdjacencySample.hash(e.left, e.right))
     lefts(p) = e.left
     rights(p) = e.right
-    adj.add(e.left, e.right)
+    link(e.left, e.right)
   }
 
   /** Remove edge `e`, which must be present; the last edge takes its
@@ -98,7 +86,7 @@ final class AdjacencySample extends DenseSet(8) with AdjView {
     val slot = slotOf(e.left, e.right)
     if (positionAt(slot) < 0) sys.error(s"edge $e not in sample")
     removeSlot(slot)
-    adj.remove(e.left, e.right)
+    unlink(e.left, e.right)
   }
 
   /** A uniformly random sampled edge (for RP's replacement step). */

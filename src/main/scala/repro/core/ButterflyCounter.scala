@@ -3,9 +3,9 @@ package repro.core
 /** Per-edge butterfly counting (Algorithm 1, lines 7–11).
   *
   * For an incoming edge `{u, v}` (u ∈ L, v ∈ R) it counts the butterflies
-  * that `{u, v}` forms with the edges of an [[AdjView]]: every butterfly
-  * `{u, v, x, w}` (x ∈ L, w ∈ R) discovered requires the three view edges
-  * `{u, w}`, `{x, w}`, `{x, v}`.
+  * that `{u, v}` forms with the edges of an [[Adjacency]], the view: every
+  * butterfly `{u, v, x, w}` (x ∈ L, w ∈ R) discovered requires the three
+  * view edges `{u, w}`, `{x, w}`, `{x, v}`.
   *
   * The *cheapest side* heuristic (line 7) picks the endpoint whose
   * view-neighbours have the smaller cumulative degree and drives the set
@@ -31,7 +31,7 @@ object ButterflyCounter {
     * from the neighbour sets during intersection (the paper's running
     * example excludes `u` explicitly).
     */
-  def countForEdge(view: AdjView, u: Long, v: Long): Result = {
+  def countForEdge(view: Adjacency, u: Long, v: Long): Result = {
     val nu = view.leftNeighbors(u)  // right-side neighbours of u
     val nv = view.rightNeighbors(v) // left-side neighbours of v
 
@@ -47,7 +47,7 @@ object ButterflyCounter {
   }
 
   /** Neighbours of `x`, a right vertex if `right`, else a left one. */
-  private def neighbors(view: AdjView, x: Long, right: Boolean): LongSet =
+  private def neighbors(view: Adjacency, x: Long, right: Boolean): LongSet =
     if (right) view.rightNeighbors(x) else view.leftNeighbors(x)
 
   /** Whether `Σ_{w ∈ nu} d(w) ≤ Σ_{x ∈ nv} d(x)` (explore u, ties
@@ -57,7 +57,7 @@ object ButterflyCounter {
     * sum is ≥ s iff Σ_v ≥ s; with the cap `s + 1` for Σ_u, it is ≤ s iff
     * Σ_u ≤ s. So the decision equals the one over full sums.
     */
-  private def uIsCheaper(view: AdjView, nu: LongSet, nv: LongSet): Boolean =
+  private def uIsCheaper(view: Adjacency, nu: LongSet, nv: LongSet): Boolean =
     if (nu.size <= nv.size) {
       val s = cumDegree(view, nu, right = true, Long.MaxValue)
       s <= cumDegree(view, nv, right = false, s)
@@ -69,7 +69,7 @@ object ButterflyCounter {
   /** Σ of the view degrees of the members of `s` (right vertices if
     * `right`), in position order, stopping once it reaches `cap`.
     */
-  private def cumDegree(view: AdjView, s: LongSet, right: Boolean, cap: Long): Long = {
+  private def cumDegree(view: Adjacency, s: LongSet, right: Boolean, cap: Long): Long = {
     var sum = 0L
     var i = 0
     while (i < s.size && sum < cap) {
@@ -82,7 +82,7 @@ object ButterflyCounter {
   /** Intersect the neighbours of every member of `outer` but `skip` (right
     * vertices if `right`) with `other`, excluding `exclude`.
     */
-  private def explore(view: AdjView, outer: LongSet, right: Boolean, skip: Long,
+  private def explore(view: Adjacency, outer: LongSet, right: Boolean, skip: Long,
                       other: LongSet, exclude: Long): Result = {
     var found = 0L
     var work = 0L

@@ -11,10 +11,10 @@ package repro.core
   *    its other three edges are already present → count += per-edge count;
   *  - deletion of {u,v}: every butterfly containing {u,v} dies → count −=
   *    per-edge count (computed *before* removing the edge).
+  *
+  * The counter is the [[Adjacency]] of G^(t) plus the count.
   */
-final class ExactButterflyCounter {
-  private val graph = new Adjacency
-
+final class ExactButterflyCounter extends Adjacency {
   private var countVal: Long = 0L
   private var edges: Long = 0L
 
@@ -24,26 +24,23 @@ final class ExactButterflyCounter {
   /** Number of live edges |E^(t)|. */
   def edgeCount: Long = edges
 
-  /** Read-only adjacency view of the full graph. */
-  def view: AdjView = graph
-
   /** Apply one stream element, keeping the count exact. */
   def process(el: StreamElement): Unit = {
     val e = el.edge
-    val present = graph.leftNeighbors(e.left).contains(e.right)
+    val present = leftNeighbors(e.left).contains(e.right)
     if (el.isInsert) {
       require(!present, s"duplicate insertion of $e")
-      val r = ButterflyCounter.countForEdge(graph, e.left, e.right)
+      val r = ButterflyCounter.countForEdge(this, e.left, e.right)
       countVal += r.butterflies
-      graph.add(e.left, e.right)
+      link(e.left, e.right)
       edges += 1
     } else {
       require(present, s"deletion of missing edge $e")
       // Count with the edge still present; countForEdge excludes the
       // endpoints so the edge itself never participates as a "third" edge.
-      val r = ButterflyCounter.countForEdge(graph, e.left, e.right)
+      val r = ButterflyCounter.countForEdge(this, e.left, e.right)
       countVal -= r.butterflies
-      graph.remove(e.left, e.right)
+      unlink(e.left, e.right)
       edges -= 1
     }
   }

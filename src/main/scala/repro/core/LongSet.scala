@@ -4,7 +4,7 @@ package repro.core
   * [[DenseSet]]: members at [[keyAt]]`(0 until size)`, found from a
   * multiplicative (Fibonacci) hash.
   *
-  * Mutation is `private[core]`: an [[AdjView]] hands these sets out
+  * Mutation is `private[core]`: an [[Adjacency]] hands these sets out
   * read-only. Scans walk [[keyAt]] over `0 until size`, which allocates
   * nothing.
   */

@@ -91,7 +91,7 @@ object ParAbacus {
     var i = lo
     while (i < hi) {
       replayer.advanceTo(i)
-      tally.countEdge(replayer.view, snap.elemLeft(i), snap.elemRight(i), snap.weight(i))
+      tally.countEdge(replayer, snap.elemLeft(i), snap.elemRight(i), snap.weight(i))
       i += 1
     }
     PartitionCount(pid, tally.estimate, tally.work, tally.found, hi - lo)

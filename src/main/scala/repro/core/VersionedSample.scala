@@ -29,17 +29,16 @@ final case class VersionedSampleSnapshot(
   def batchSize: Int = elemLeft.length
 }
 
-/** Forward-only reconstruction of sample versions from a snapshot.
+/** Forward-only reconstruction of sample versions from a snapshot: an
+  * [[Adjacency]] at the current version.
   *
-  * Applies the change log in order, exposing an [[AdjView]] of the current
-  * version; a fresh replayer is at version 0 (S_0, O(k)). Each PARABACUS
-  * task owns one replayer for its contiguous range of edges, so a task pays
-  * O(k + M) to reconstruct and then walks versions incrementally. The log
-  * is consistent by construction, so the replayer keeps adjacency only: no
-  * edge registry, no [[Edge]] per entry.
+  * It applies the change log in order; a fresh replayer is at version 0
+  * (S_0, O(k)). Each PARABACUS task owns one replayer for its contiguous
+  * range of edges, so a task pays O(k + M) to reconstruct and then walks
+  * versions incrementally. The log is consistent by construction, so the
+  * replayer keeps adjacency only: no edge registry, no [[Edge]] per entry.
   */
-final class SampleReplayer(snap: VersionedSampleSnapshot) {
-  private val adj = new Adjacency
+final class SampleReplayer(snap: VersionedSampleSnapshot) extends Adjacency {
   private var next = 0
   advanceTo(0)
 
@@ -48,12 +47,9 @@ final class SampleReplayer(snap: VersionedSampleSnapshot) {
     */
   def advanceTo(v: Int): Unit = {
     while (next < snap.version.length && snap.version(next) <= v) {
-      if (snap.isInsert(next)) adj.add(snap.left(next), snap.right(next))
-      else adj.remove(snap.left(next), snap.right(next))
+      if (snap.isInsert(next)) link(snap.left(next), snap.right(next))
+      else unlink(snap.left(next), snap.right(next))
       next += 1
     }
   }
-
-  /** Adjacency view of the currently materialised version. */
-  def view: AdjView = adj
 }

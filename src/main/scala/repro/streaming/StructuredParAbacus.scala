@@ -35,8 +35,7 @@ object StructuredParAbacus {
       .outputMode("append")
       .trigger(Trigger.ProcessingTime(0L))
       .foreachBatch { (df: DataFrame, _: Long) =>
-        val els = toElements(df)
-        if (els.nonEmpty) pa.processBatch(els)
+        pa.processBatch(toElements(df))
         ()
       }
       .start()

@@ -56,7 +56,7 @@ object CoreProperties extends Properties("core") {
       val c = new ExactButterflyCounter
       stream.forall { el =>
         val before = c.count
-        val found = ButterflyCounter.countForEdge(c.view, el.edge.left, el.edge.right)
+        val found = ButterflyCounter.countForEdge(c, el.edge.left, el.edge.right)
         c.process(el)
         c.count - before == el.sign * found.butterflies
       }

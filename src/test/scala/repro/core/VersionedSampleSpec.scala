@@ -20,8 +20,8 @@ class VersionedSampleSpec extends AnyFunSuite {
       Seq((1, true, Edge(3L, 3L))), m = 2)
     val r = new SampleReplayer(snap)
     r.advanceTo(0)
-    assert(ids(r.view.leftNeighbors(1L)) === Set(1L))
-    assert(r.view.leftNeighbors(3L).isEmpty)
+    assert(ids(r.leftNeighbors(1L)) === Set(1L))
+    assert(r.leftNeighbors(3L).isEmpty)
   }
 
   test("deltas become visible exactly at their version") {
@@ -29,14 +29,14 @@ class VersionedSampleSpec extends AnyFunSuite {
       Seq((1, true, Edge(2L, 2L)), (3, false, Edge(1L, 1L))), m = 3)
     val r = new SampleReplayer(snap)
     r.advanceTo(0)
-    assert(r.view.leftNeighbors(2L).isEmpty)
+    assert(r.leftNeighbors(2L).isEmpty)
     r.advanceTo(1)
-    assert(ids(r.view.leftNeighbors(2L)) === Set(2L))
-    assert(ids(r.view.leftNeighbors(1L)) === Set(1L))
+    assert(ids(r.leftNeighbors(2L)) === Set(2L))
+    assert(ids(r.leftNeighbors(1L)) === Set(1L))
     r.advanceTo(2)
-    assert(ids(r.view.leftNeighbors(1L)) === Set(1L)) // removal not yet visible
+    assert(ids(r.leftNeighbors(1L)) === Set(1L)) // removal not yet visible
     r.advanceTo(3)
-    assert(r.view.leftNeighbors(1L).isEmpty)
+    assert(r.leftNeighbors(1L).isEmpty)
   }
 
   test("advancing multiple versions at once applies all pending deltas") {
@@ -45,7 +45,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       m = 3)
     val r = new SampleReplayer(snap)
     r.advanceTo(3)
-    assert(Seq(1L, 2L, 3L).forall(i => ids(r.view.leftNeighbors(i)) === Set(i)))
+    assert(Seq(1L, 2L, 3L).forall(i => ids(r.leftNeighbors(i)) === Set(i)))
   }
 
   test("replayed versions equal sequentially materialised samples on random streams") {
@@ -66,7 +66,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       val lefts = stream.map(_.edge.left).toSet
       def assertVersion(r: SampleReplayer, want: Set[Edge], clue: String): Unit =
         lefts.foreach { l =>
-          assert(ids(r.view.leftNeighbors(l)) === want.filter(_.left == l).map(_.right),
+          assert(ids(r.leftNeighbors(l)) === want.filter(_.left == l).map(_.right),
             s"trial $trial $clue vertex $l")
         }
       // Rebuild every version (here the base is the empty pre-stream state).
