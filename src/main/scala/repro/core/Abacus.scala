@@ -72,40 +72,47 @@ class Abacus(val k: Int, seed: Long) {
 
   /** PARABACUS phase 1: advance the sampler over a whole mini-batch without
     * counting, and record every sample version the batch's edges observe —
-    * one change log of S whose version 0 inserts S_0 and whose version i+1
-    * holds the changes edge i makes — and each edge's [[weight]] before its
-    * update (O(M) time, O(k+M) space; Theorems 6, 7). The counting is left
-    * to [[addPartials]].
+    * one change log of S that starts with S_0, and where each version ends
+    * in it — and each edge's [[weight]] before its update (O(M) time,
+    * O(k+M) space; Theorems 6, 7). Version i+1 adds edge i's change: the
+    * element itself, or for a [[RandomPairing.Replaced]] the victim's delete
+    * and then the element. The counting is left to [[addPartials]].
     */
   private[core] def advanceBatch(batch: IndexedSeq[StreamElement]): VersionedSampleSnapshot = {
     val m = batch.length
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
     val weights = new Array[Double](m)
+    val ends = new Array[Int](m + 1)
     // The log is S_0 plus at most two changes per edge; trimmed at the end.
     val s0 = sample.size
     val capacity = s0 + 2 * m
-    val version = new Array[Int](capacity)
     val isInsert = new Array[Boolean](capacity)
     val left = new Array[Long](capacity)
     val right = new Array[Long](capacity)
     sample.copyEdgesTo(left, right)
     Arrays.fill(isInsert, 0, s0, true)
     var n = s0
+    def log(insert: Boolean, e: Edge): Unit = {
+      isInsert(n) = insert; left(n) = e.left; right(n) = e.right
+      n += 1
+    }
     var i = 0
     while (i < m) {
+      ends(i) = n
       val el = batch(i)
       elemLeft(i) = el.edge.left; elemRight(i) = el.edge.right
       weights(i) = weight(el)
-      // Changes of edge i become visible at version i+1.
-      rp.apply(el).foreach { c =>
-        version(n) = i + 1; isInsert(n) = c.isInsert; left(n) = c.edge.left; right(n) = c.edge.right
-        n += 1
+      rp.apply(el) match {
+        case RandomPairing.Unchanged =>
+        case RandomPairing.Applied => log(el.isInsert, el.edge)
+        case RandomPairing.Replaced(victim) => log(insert = false, victim); log(insert = true, el.edge)
       }
       i += 1
     }
-    VersionedSampleSnapshot(Arrays.copyOf(version, n), Arrays.copyOf(isInsert, n),
-      Arrays.copyOf(left, n), Arrays.copyOf(right, n), elemLeft, elemRight, weights)
+    ends(m) = n
+    VersionedSampleSnapshot(ends, Arrays.copyOf(isInsert, n), Arrays.copyOf(left, n),
+      Arrays.copyOf(right, n), elemLeft, elemRight, weights)
   }
 
   /** PARABACUS phase 3: add the partial counts of a batch advanced by

@@ -90,9 +90,9 @@ object ButterflyCounter {
     while (i < outer.size) {
       val x = outer.keyAt(i)
       if (x != skip) {
-        val packed = intersectCount(neighbors(view, x, right), other, exclude)
-        found += packed >>> 32
-        work += packed & 0xFFFFFFFFL
+        val nx = neighbors(view, x, right)
+        found += intersectCount(nx, other, exclude)
+        work += math.min(nx.size, other.size)
       }
       i += 1
     }
@@ -100,11 +100,8 @@ object ButterflyCounter {
   }
 
   /** |a ∩ b| excluding one vertex; iterates the smaller set, probes the
-    * larger. Returns (count << 32 | probes) to stay allocation-free on the
-    * hot path; `probes` (the smaller set's size) is the paper's load metric
+    * larger, so it spends `min(|a|, |b|)` probes: the paper's load metric,
     * "checks that happened within the set intersection operations" (§VI-G).
-    * Per-intersection count and probes both fit 32 bits because set sizes
-    * are bounded by the sample budget.
     */
   private def intersectCount(a: LongSet, b: LongSet, exclude: Long): Long = {
     val small = if (a.size <= b.size) a else b
@@ -116,6 +113,6 @@ object ButterflyCounter {
       if (x != exclude && large.contains(x)) c += 1
       i += 1
     }
-    (c << 32) | small.size
+    c
   }
 }

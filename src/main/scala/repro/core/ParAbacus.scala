@@ -19,8 +19,8 @@ final case class PartitionCount(partition: Int, partialCount: Double,
   * Per mini-batch of M edges it:
   *  1. advances the Random Pairing sampler over the batch on the driver,
   *     recording a [[VersionedSampleSnapshot]] — each edge's Eq. 1 weight
-  *     plus the change log of the sample, S_0 as its version 0 (O(M) time,
-  *     O(k+M) space; Theorems 6, 7);
+  *     plus the change log of the sample, S_0 first, and where each version
+  *     ends in it (O(M) time, O(k+M) space; Theorems 6, 7);
   *  2. broadcasts the snapshot and fans the per-edge butterfly counting out
   *     over `p` RDD partitions (the paper's p threads), each handling a
   *     contiguous equal-sized range of the batch against its own replayed

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import scala.collection.immutable.ArraySeq
+import RandomPairing.{Applied, Change, Replaced, Unchanged}
 
 /** Random Pairing (Gemulla et al., VLDBJ'08) over an [[AdjacencySample]] —
   * Algorithm 2 of the paper.
@@ -12,10 +12,11 @@ import scala.collection.immutable.ArraySeq
   *   - `cb` ("bad"): uncompensated deletions of edges that *were* sampled,
   *   - `cg` ("good"): uncompensated deletions of edges that were not.
   *
-  * Every change to the sample S is itself a stream element on S
-  * (Definition 1 applied to S): an insert puts an edge into S, a delete
-  * takes it out. [[apply]] returns them in order, so [[Abacus.advanceBatch]]
-  * can log the versions of S for PARABACUS; [[Abacus.process]] ignores them.
+  * Each element changes the sample S in one of three ways, and [[apply]]
+  * says which as a [[RandomPairing.Change]]: not at all, by the element's
+  * own edge, or by evicting a victim before inserting the element.
+  * [[Abacus.advanceBatch]] logs the changes as the versions of S for
+  * PARABACUS; [[Abacus.process]] ignores them.
   * Without deletions `c_b = c_g = 0` and this is classic reservoir sampling,
   * which CAS-R gets by feeding an [[Abacus]] only insertions.
   */
@@ -31,49 +32,66 @@ final class RandomPairing(val k: Int, val sample: AdjacencySample, rng: Splittab
   def cb: Long = cbCount
   def cg: Long = cgCount
 
-  /** Apply one stream element and return the changes it makes to S, in
-    * order. A change of the arriving edge is the arriving element itself.
-    */
-  def apply(el: StreamElement): Seq[StreamElement] =
-    if (el.isInsert) insert(el) else delete(el)
+  /** Apply one stream element and return the change it makes to S. */
+  def apply(el: StreamElement): Change =
+    if (el.isInsert) insert(el.edge) else delete(el.edge)
 
   /** Algorithm 2, `InsertToSample`. */
-  private def insert(el: StreamElement): Seq[StreamElement] = {
+  private def insert(e: Edge): Change = {
     numEdges += 1
     if (cbCount + cgCount == 0) {
-      if (sample.size < k) add(el)
+      if (sample.size < k) add(e)
       else if (rng.nextDouble() < k.toDouble / numEdges) {
         val victim = sample.randomEdge(rng)
         sample.remove(victim)
-        sample.add(el.edge)
-        ArraySeq(StreamElement(victim, isInsert = false), el)
-      } else Nil
+        sample.add(e)
+        Replaced(victim)
+      } else Unchanged
     } else {
       if (rng.nextDouble() < cbCount.toDouble / (cbCount + cgCount)) {
         cbCount -= 1
-        add(el)
+        add(e)
       } else {
         cgCount -= 1
-        Nil
+        Unchanged
       }
     }
   }
 
   /** Algorithm 2, `DeleteFromSample`. */
-  private def delete(el: StreamElement): Seq[StreamElement] = {
+  private def delete(e: Edge): Change = {
     numEdges -= 1
-    if (sample.contains(el.edge)) {
+    if (sample.contains(e)) {
       cbCount += 1
-      sample.remove(el.edge)
-      el :: Nil
+      sample.remove(e)
+      Applied
     } else {
       cgCount += 1
-      Nil
+      Unchanged
     }
   }
 
-  private def add(el: StreamElement): Seq[StreamElement] = {
-    sample.add(el.edge)
-    el :: Nil
+  private def add(e: Edge): Change = {
+    sample.add(e)
+    Applied
   }
+}
+
+object RandomPairing {
+
+  /** The change one stream element makes to S; `length` is the number of
+    * edges that enter or leave S.
+    */
+  sealed abstract class Change(val length: Int)
+
+  /** S is as it was. */
+  case object Unchanged extends Change(0)
+
+  /** The element's own edge entered S (an insert) or left it (a delete). */
+  case object Applied extends Change(1)
+
+  /** An insert evicted `victim`, a uniformly drawn sampled edge other than
+    * the element's, and then entered S.
+    */
+  final case class Replaced(victim: Edge) extends Change(2)
 }

@@ -3,12 +3,12 @@ package repro.core
 /** Immutable, broadcastable versioned sample for one mini-batch (§V-A).
   *
   * The sample S is stored as one change log: entry `j` inserts
-  * (`isInsert(j)`) or deletes the edge `(left(j), right(j))` at version
-  * `version(j)`, and entries are in creation order, so the versions are
-  * non-decreasing. The version-0 entries insert the base sample S_0 (the
-  * state at batch start); version `i` (0 ≤ i < M), the sample state the
-  * i-th edge of the mini-batch observes, is the log prefix of entries with
-  * version ≤ i — S_0 plus the Random Pairing changes of edges 0..i−1.
+  * (`isInsert(j)`) or deletes the edge `(left(j), right(j))`, and entries
+  * are in creation order. The log starts with inserts of the base sample
+  * S_0 (the state at batch start), followed by the Random Pairing changes of
+  * the batch's edges. Version `v` (0 ≤ v ≤ M) is the log prefix
+  * `0 until ends(v)`: S_0 for v = 0, and S_0 plus the changes of edges
+  * 0..v−1 otherwise. The i-th edge of the mini-batch observes version i.
   *
   * The paper caches each version's `{s, c_b, c_g}` triplet only so that
   * every thread can evaluate Eq. 1's increment `sgn(δ_i)/Pr(s_i, c_b,i, c_g,i)`;
@@ -20,8 +20,8 @@ package repro.core
   * the dominant PARABACUS overhead.
   */
 final case class VersionedSampleSnapshot(
-    // the change log of S: visible-from version, insert/delete flag, edge
-    version: Array[Int], isInsert: Array[Boolean], left: Array[Long], right: Array[Long],
+    // where each of the M+1 versions ends, then the log of S: insert/delete flag, edge
+    ends: Array[Int], isInsert: Array[Boolean], left: Array[Long], right: Array[Long],
     // the mini-batch edges, in arrival order, and each one's Eq. 1 increment
     elemLeft: Array[Long], elemRight: Array[Long], weight: Array[Double],
 ) extends Serializable {
@@ -42,11 +42,12 @@ final class SampleReplayer(snap: VersionedSampleSnapshot) extends Adjacency {
   private var next = 0
   advanceTo(0)
 
-  /** Advance to version `v`: apply every log entry of version ≤ v.
+  /** Advance to version `v`: apply every log entry below `ends(v)`.
     * Versions can only move forward.
     */
   def advanceTo(v: Int): Unit = {
-    while (next < snap.version.length && snap.version(next) <= v) {
+    val end = snap.ends(v)
+    while (next < end) {
       if (snap.isInsert(next)) link(snap.left(next), snap.right(next))
       else unlink(snap.left(next), snap.right(next))
       next += 1

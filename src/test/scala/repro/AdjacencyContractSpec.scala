@@ -29,6 +29,22 @@ class AdjacencyContractSpec extends AnyFunSuite {
     assertDoesNotCompile("new LongSet().add(1L)")
   }
 
+  // The compiler does not track names used only inside the snippets above,
+  // so a build that is not clean may never recompile them; this twin reads
+  // the access of the compiled members at run time.
+  test("the compiled link, unlink and LongSet.add are private to repro.core") {
+    import scala.reflect.runtime.universe._
+    def assertCoreOnly(t: Type, name: String): Unit = {
+      val m = t.member(TermName(name))
+      assert(m != NoSymbol, s"$t has no $name")
+      assert(!m.isPublic, m.fullName)
+      assert(m.privateWithin.fullName === "repro.core", m.fullName)
+    }
+    Seq(typeOf[AdjacencySample], typeOf[SampleReplayer], typeOf[ExactButterflyCounter])
+      .foreach { t => assertCoreOnly(t, "link"); assertCoreOnly(t, "unlink") }
+    assertCoreOnly(typeOf[LongSet], "add")
+  }
+
   test("the sample is counted against as it is") {
     assertCompiles("ButterflyCounter.countForEdge(new AdjacencySample, 1L, 2L)")
     assert(ButterflyCounter.countForEdge(new AdjacencySample, 1L, 2L) ===

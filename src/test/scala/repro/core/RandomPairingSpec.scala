@@ -55,8 +55,7 @@ class RandomPairingSpec extends AnyFunSuite {
     (1 to 4).foreach(i => rp(StreamElement.insert(i.toLong, i.toLong)))
     rp(StreamElement.delete(1L, 1L))
     // cb=1, cg=0 → the insertion enters the sample with probability 1.
-    val changes = rp(StreamElement.insert(9L, 9L))
-    assert(changes === Seq(StreamElement.insert(9L, 9L)))
+    assert(rp(StreamElement.insert(9L, 9L)) === RandomPairing.Applied)
     assert(rp.cb === 0)
     assert(rp.sample.contains(Edge(9L, 9L)))
   }
@@ -68,15 +67,24 @@ class RandomPairingSpec extends AnyFunSuite {
       val stream = TestGraphs.randomStream(nL = 20, nR = 20, m = 150,
         alpha = 0.3, seed = trial.toLong * 31)
       stream.foreach { el =>
-        val changes = rp.apply(el)
-        // A change of the arriving edge is the arriving element, reported
-        // last; only a replacement reports one more change, the victim's
-        // delete, before it.
-        assert(changes.lastOption.forall(_ == el) && changes.size <= 2, s"trial $trial: $changes")
-        if (changes.size == 2) {
-          assert(el.isInsert && !changes.head.isInsert && changes.head.edge != el.edge)
-          replacements += 1
+        val before = rp.sample.snapshotEdges().toSet
+        val change = rp.apply(el)
+        val after = rp.sample.snapshotEdges().toSet
+        // Each case restates its change to S; `length` counts the edges
+        // that entered or left S.
+        change match {
+          case RandomPairing.Unchanged =>
+            assert(after === before, s"trial $trial: $el")
+          case RandomPairing.Applied =>
+            assert(after === (if (el.isInsert) before + el.edge else before - el.edge),
+              s"trial $trial: $el")
+          case RandomPairing.Replaced(v) =>
+            assert(el.isInsert && v != el.edge, s"trial $trial: $el replaced $v")
+            assert(after === before - v + el.edge, s"trial $trial: $el replaced $v")
+            replacements += 1
         }
+        assert(change.length === ((before diff after) union (after diff before)).size,
+          s"trial $trial: $el $change")
         val expected = math.min(rp.k.toLong, rp.streamEdgeCount + rp.cb + rp.cg) - rp.cb
         assert(rp.sample.size.toLong === expected,
           s"trial $trial: |S|=${rp.sample.size} |E|=${rp.streamEdgeCount} cb=${rp.cb} cg=${rp.cg}")

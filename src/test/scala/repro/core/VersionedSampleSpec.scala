@@ -5,12 +5,14 @@ import repro.TestGraphs.ids
 
 class VersionedSampleSpec extends AnyFunSuite {
 
-  /** A snapshot whose log inserts `base` at version 0, then holds `changes`. */
+  /** A snapshot whose log inserts `base` (S_0), then holds `changes`, each
+    * visible from its version on (versions in order, 1..m).
+    */
   private def snapOf(base: Seq[Edge], changes: Seq[(Int, Boolean, Edge)],
                      m: Int): VersionedSampleSnapshot = {
     val log = base.map(e => (0, true, e)) ++ changes
     VersionedSampleSnapshot(
-      log.map(_._1).toArray, log.map(_._2).toArray,
+      Array.tabulate(m + 1)(v => log.count(_._1 <= v)), log.map(_._2).toArray,
       log.map(_._3.left).toArray, log.map(_._3.right).toArray,
       new Array[Long](m), new Array[Long](m), new Array[Double](m))
   }
@@ -59,7 +61,12 @@ class VersionedSampleSpec extends AnyFunSuite {
       val changes = scala.collection.mutable.ArrayBuffer.empty[(Int, Boolean, Edge)]
       expected(0) = sample.snapshotEdges().toSet
       stream.zipWithIndex.foreach { case (el, i) =>
-        rp.apply(el).foreach(c => changes += ((i + 1, c.isInsert, c.edge)))
+        rp.apply(el) match {
+          case RandomPairing.Unchanged =>
+          case RandomPairing.Applied => changes += ((i + 1, el.isInsert, el.edge))
+          case RandomPairing.Replaced(v) =>
+            changes += ((i + 1, false, v)); changes += ((i + 1, true, el.edge))
+        }
         expected += sample.snapshotEdges().toSet
       }
       // Every left vertex of the stream has exactly the version's neighbours.
@@ -100,8 +107,12 @@ class VersionedSampleSpec extends AnyFunSuite {
     core.processAll(prefix)
     val snap = core.advanceBatch(batch)
     assert(snap.batchSize === batch.size)
-    // The version-0 entries are all inserts and together are S_0.
-    val base = snap.version.indices.takeWhile(snap.version(_) == 0)
+    // The M+1 versions end in order, the last at the end of the log.
+    assert(snap.ends.length === batch.size + 1)
+    assert(snap.ends.sliding(2).forall(w => w(0) <= w(1)))
+    assert(snap.ends.last === snap.isInsert.length)
+    // The entries of version 0 are all inserts and together are S_0.
+    val base = 0 until snap.ends(0)
     assert(base.forall(snap.isInsert(_)))
     assert(base.map(j => Edge(snap.left(j), snap.right(j))).toSet ===
       seq.rp.sample.snapshotEdges().toSet)
