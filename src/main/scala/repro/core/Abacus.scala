@@ -15,7 +15,9 @@ import java.util.{Arrays, SplittableRandom}
   * [[ParAbacus]] extends it and drives the same state a mini-batch at a
   * time: it advances the sampler over the batch first ([[advanceBatch]]),
   * counts the batch in parallel against the recorded versions, then adds
-  * the partial counts back ([[addPartials]]).
+  * each edge's butterflies back at the edge's weight ([[addCounts]]). Both
+  * paths add through the same step ([[Abacus.Tally.add]]) in edge order, so
+  * the two make the same floating-point additions (Theorem 5, bit for bit).
   *
   * @param k    memory budget: maximum number of sampled edges (≥ 2)
   * @param seed seed for the sampling RNG — runs are deterministic in
@@ -73,12 +75,14 @@ class Abacus(val k: Int, seed: Long) {
   /** PARABACUS phase 1: advance the sampler over a whole mini-batch without
     * counting, and record every sample version the batch's edges observe —
     * one change log of S that starts with S_0, and where each version ends
-    * in it — and each edge's [[weight]] before its update (O(M) time,
-    * O(k+M) space; Theorems 6, 7). Version i+1 adds edge i's change: the
-    * element itself, or for a [[RandomPairing.Replaced]] the victim's delete
-    * and then the element. The counting is left to [[addPartials]].
+    * in it (O(M) time, O(k+M) space; Theorems 6, 7). Version i+1 adds edge
+    * i's change: the element itself, or for a [[RandomPairing.Replaced]] the
+    * victim's delete and then the element. Returns the snapshot and each
+    * edge's [[weight]] before its update; the weights stay on the driver,
+    * for [[addCounts]].
     */
-  private[core] def advanceBatch(batch: IndexedSeq[StreamElement]): VersionedSampleSnapshot = {
+  private[core] def advanceBatch(
+      batch: IndexedSeq[StreamElement]): (VersionedSampleSnapshot, Array[Double]) = {
     val m = batch.length
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
@@ -111,20 +115,24 @@ class Abacus(val k: Int, seed: Long) {
       i += 1
     }
     ends(m) = n
-    VersionedSampleSnapshot(ends, Arrays.copyOf(isInsert, n), Arrays.copyOf(left, n),
-      Arrays.copyOf(right, n), elemLeft, elemRight, weights)
+    (VersionedSampleSnapshot(ends, Arrays.copyOf(isInsert, n), Arrays.copyOf(left, n),
+      Arrays.copyOf(right, n), elemLeft, elemRight), weights)
   }
 
-  /** PARABACUS phase 3: add the partial counts of a batch advanced by
-    * [[advanceBatch]], in the given order.
+  /** PARABACUS phase 3: add the per-edge butterflies of a batch advanced by
+    * [[advanceBatch]], each at its edge's weight, in edge order. `parts`
+    * must cover the batch's edges in order: their `butterflies` arrays,
+    * concatenated, line up with `weights`.
     */
-  private[core] def addPartials(parts: Iterable[PartitionCount]): Unit =
+  private[core] def addCounts(weights: Array[Double], parts: Iterable[PartitionCount]): Unit = {
+    var i = 0
     parts.foreach { r =>
-      tally.estimate += r.partialCount
+      r.butterflies.foreach { b => tally.add(b, weights(i)); i += 1 }
       tally.work += r.work
-      tally.found += r.found
-      processedCount += r.edges
     }
+    require(i == weights.length, s"counted $i of ${weights.length} edges")
+    processedCount += i
+  }
 }
 
 object Abacus {
@@ -146,10 +154,16 @@ object Abacus {
     def countEdge(view: Adjacency, u: Long, v: Long, weight: Double): Unit = {
       val r = ButterflyCounter.countForEdge(view, u, v)
       work += r.work
-      if (r.butterflies > 0) {
-        estimate += r.butterflies * weight
-        found += r.butterflies
-      }
+      add(r.butterflies, weight)
     }
+
+    /** Add one edge's `butterflies`, each at `weight`: the only place the
+      * estimate and the found count change, for every driver.
+      */
+    def add(butterflies: Long, weight: Double): Unit =
+      if (butterflies > 0) {
+        estimate += butterflies * weight
+        found += butterflies
+      }
   }
 }

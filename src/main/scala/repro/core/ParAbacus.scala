@@ -2,36 +2,41 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 
-/** Per-partition result of the parallel counting phase.
+/** Per-partition result of the parallel counting phase: integers only, so
+  * the estimate is built on the driver alone.
   *
   * @param partition   partition (thread) index
-  * @param partialCount sum of extrapolated per-edge counts c_i for the range
+  * @param butterflies butterflies each edge of the range forms with its
+  *                    sample version, in edge order
   * @param work        set-intersection probes performed (load metric, §VI-G)
-  * @param found       butterflies discovered through the sample versions
-  * @param edges       number of mini-batch edges the partition processed
   */
-final case class PartitionCount(partition: Int, partialCount: Double,
-                                work: Long, found: Long, edges: Int) extends Serializable
+final case class PartitionCount(partition: Int, butterflies: Array[Long], work: Long)
+    extends Serializable {
+  /** Number of mini-batch edges the partition processed. */
+  def edges: Int = butterflies.length
+}
 
 /** PARABACUS (§V): the parallel mini-batch variant of ABACUS on Spark —
   * the [[Abacus]] core plus a fan-out of its counting step.
   *
   * Per mini-batch of M edges it:
   *  1. advances the Random Pairing sampler over the batch on the driver,
-  *     recording a [[VersionedSampleSnapshot]] — each edge's Eq. 1 weight
-  *     plus the change log of the sample, S_0 first, and where each version
-  *     ends in it (O(M) time, O(k+M) space; Theorems 6, 7);
+  *     recording a [[VersionedSampleSnapshot]] — the change log of the
+  *     sample, S_0 first, and where each version ends in it (O(M) time,
+  *     O(k+M) space; Theorems 6, 7) — and keeps each edge's Eq. 1 weight;
   *  2. broadcasts the snapshot and fans the per-edge butterfly counting out
   *     over `p` RDD partitions (the paper's p threads), each handling a
   *     contiguous equal-sized range of the batch against its own replayed
-  *     sample versions;
-  *  3. adds the partial counts `c_0..c_{M-1}` into the estimate.
+  *     sample versions and returning each edge's butterflies and the work;
+  *  3. adds each edge's butterflies at its weight into the estimate, in
+  *     edge order, through the step [[Abacus.process]] uses.
   *
   * Version consolidation is implicit: the sample was already advanced to
   * version M during step 1 and serves as S_0 of the next batch.
   *
-  * Given the same (stream, k, seed), PARABACUS produces the same estimates
-  * as [[Abacus]] (Theorem 5) up to floating-point summation order.
+  * Given the same (stream, k, seed), PARABACUS produces bit for bit the
+  * same estimate, work and butterflies found as [[Abacus]] (Theorem 5), for
+  * any M and p.
   *
   * @param numPartitions p, the parallelism of the counting phase
   */
@@ -48,7 +53,8 @@ final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions
     if (batch.isEmpty) return Nil
 
     // Phase 1 (sequential, driver): advance the sampler, recording versions.
-    val bc = sc.broadcast(advanceBatch(batch))
+    val (snap, weights) = advanceBatch(batch)
+    val bc = sc.broadcast(snap)
 
     // Phase 2 (parallel): per-edge counting, edge i against version i. The
     // closure captures only `bc` and `p`: the sampler state in `this` stays
@@ -60,8 +66,8 @@ final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions
         .collect()
     bc.destroy()
 
-    // Phase 3: reduce partials in partition order (edge order overall).
-    addPartials(results)
+    // Phase 3: add the counts in partition order (edge order overall).
+    addCounts(weights, results)
     results.toSeq
   }
 
@@ -80,20 +86,23 @@ object ParAbacus {
   def range(pid: Int, p: Int, m: Int): (Int, Int) =
     ((pid.toLong * m / p).toInt, ((pid + 1).toLong * m / p).toInt)
 
-  /** Task body: count butterflies for the partition's edge range against
-    * the replayed sample versions. Pure function of the snapshot — no RNG —
-    * so the parallel phase is deterministic.
+  /** Task body: count butterflies for each edge of the partition's range
+    * against the replayed sample versions. Pure function of the snapshot —
+    * no RNG — so the parallel phase is deterministic.
     */
   def countRange(snap: VersionedSampleSnapshot, pid: Int, p: Int): PartitionCount = {
     val (lo, hi) = range(pid, p, snap.batchSize)
     val replayer = new SampleReplayer(snap)
-    val tally = new Abacus.Tally
+    val butterflies = new Array[Long](hi - lo)
+    var work = 0L
     var i = lo
     while (i < hi) {
       replayer.advanceTo(i)
-      tally.countEdge(replayer, snap.elemLeft(i), snap.elemRight(i), snap.weight(i))
+      val r = ButterflyCounter.countForEdge(replayer, snap.elemLeft(i), snap.elemRight(i))
+      butterflies(i - lo) = r.butterflies
+      work += r.work
       i += 1
     }
-    PartitionCount(pid, tally.estimate, tally.work, tally.found, hi - lo)
+    PartitionCount(pid, butterflies, work)
   }
 }

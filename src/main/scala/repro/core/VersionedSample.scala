@@ -10,10 +10,11 @@ package repro.core
   * `0 until ends(v)`: S_0 for v = 0, and S_0 plus the changes of edges
   * 0..v−1 otherwise. The i-th edge of the mini-batch observes version i.
   *
-  * The paper caches each version's `{s, c_b, c_g}` triplet only so that
-  * every thread can evaluate Eq. 1's increment `sgn(δ_i)/Pr(s_i, c_b,i, c_g,i)`;
-  * the driver already computes that number while it advances the sampler,
-  * so the snapshot carries it once per edge (`weight`) instead.
+  * The paper caches each version's `{s, c_b, c_g}` triplet so that every
+  * thread can evaluate Eq. 1's increment `sgn(δ_i)/Pr(s_i, c_b,i, c_g,i)`.
+  * Here the tasks count integers only: the driver computes each edge's
+  * increment while it advances the sampler and keeps it, and the snapshot
+  * carries no weights.
   *
   * Everything is held in parallel primitive arrays — the snapshot is
   * broadcast once per mini-batch and boxed per-element serialization was
@@ -22,8 +23,8 @@ package repro.core
 final case class VersionedSampleSnapshot(
     // where each of the M+1 versions ends, then the log of S: insert/delete flag, edge
     ends: Array[Int], isInsert: Array[Boolean], left: Array[Long], right: Array[Long],
-    // the mini-batch edges, in arrival order, and each one's Eq. 1 increment
-    elemLeft: Array[Long], elemRight: Array[Long], weight: Array[Double],
+    // the mini-batch edges, in arrival order
+    elemLeft: Array[Long], elemRight: Array[Long],
 ) extends Serializable {
   /** Mini-batch size M. */
   def batchSize: Int = elemLeft.length

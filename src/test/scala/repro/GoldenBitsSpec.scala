@@ -32,7 +32,7 @@ class GoldenBitsSpec extends SparkSpec {
     val par = new ParAbacus(16000, 1L, spark, 4)
     par.processAll(stream, 10000)
     assert((bits(par.estimate), par.totalWork, par.totalFound) ===
-      (("0x4177be7d50a55361", 22287862L, 3363628L)))
+      (("0x4177be7d50a553c3", 22287862L, 3363628L)))
   }
 
   test("CAS and FLEET k=1600 (both skip deletions)") {

@@ -1,13 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import repro.{SparkSpec, TestGraphs}
 
 class ParAbacusSpec extends SparkSpec {
 
-  private def assertSameEstimate(a: Double, b: Double, clue: String): Unit = {
-    val tol = 1e-9 * math.max(1.0, math.max(math.abs(a), math.abs(b)))
-    assert(math.abs(a - b) <= tol, s"$clue: abacus=$a parabacus=$b")
-  }
+  private def assertSameEstimate(a: Double, b: Double, clue: String): Unit =
+    assert(a == b, s"$clue: abacus=$a parabacus=$b")
 
   test("partition ranges are contiguous, equal-sized and cover the batch") {
     for (m <- Seq(1, 7, 16, 100); p <- Seq(1, 3, 8, 16)) {
@@ -43,6 +42,54 @@ class ParAbacusSpec extends SparkSpec {
       par.processAll(stream, batch)
       assertSameEstimate(seq.estimate, par.estimate, s"trial=$trial batch=$batch p=$p")
     }
+  }
+
+  test("Theorem 5 bit for bit after every batch, M in {1, 7, 50}, p in {1, 3, 8}") {
+    // (nL, nR, edges, α, seed) of a random fully dynamic stream.
+    val streams = for {
+      nL <- Gen.choose(4, 12)
+      nR <- Gen.choose(4, 12)
+      m <- Gen.choose(20, 90)
+      alphaTenths <- Gen.choose(1, 5)
+      seed <- Gen.choose(1L, 100000L)
+    } yield (nL, nR, math.min(m, nL * nR), alphaTenths / 10.0, seed)
+    // Random Pairing's two non-trivial paths, seen on the ABACUS side: an
+    // insert that evicts a victim, and an insert that pays off a deletion.
+    var replaced, compensated = 0
+    def state(a: Abacus) = (java.lang.Double.doubleToLongBits(a.estimate), a.totalWork,
+      a.totalFound, a.processed, (a.rp.streamEdgeCount, a.rp.cb, a.rp.cg))
+    def firstMismatch(stream: Seq[StreamElement], k: Int, seed: Long, m: Int, p: Int) = {
+      val seq = new Abacus(k, seed)
+      val par = new ParAbacus(k, seed, spark, p)
+      stream.grouped(m).zipWithIndex.map { case (batch, j) =>
+        batch.foreach { el =>
+          val pending = seq.rp.cb + seq.rp.cg
+          val full = seq.sampleSize == k
+          seq.process(el)
+          if (el.isInsert && pending > 0) compensated += 1
+          if (el.isInsert && pending == 0 && full && seq.isSampled(el.edge)) replaced += 1
+        }
+        par.processBatch(batch.toIndexedSeq)
+        (j, state(seq), state(par))
+      }.find { case (_, a, b) => a != b }
+    }
+    for (m <- Seq(1, 7, 50); p <- Seq(1, 3, 8)) {
+      val prop = Prop.forAllNoShrink(streams, Gen.choose(2, 8), Gen.choose(1L, 1000L)) {
+        case ((nL, nR, edges, alpha, streamSeed), k, seed) =>
+          val stream = TestGraphs.randomStream(nL, nR, edges, alpha, streamSeed)
+          val bad = firstMismatch(stream, k, seed, m, p)
+          Prop(bad.isEmpty) :| s"randomStream($nL, $nR, $edges, $alpha, $streamSeed), " +
+            s"k=$k seed=$seed: (batch, abacus, parabacus) = $bad"
+      }
+      val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(4)
+        .withInitialSeed(10L * m + p), prop)
+      val clue = res.status match {
+        case Test.Failed(_, labels) => labels.mkString("; ")
+        case other                  => other.toString
+      }
+      assert(res.passed, s"M=$m p=$p: $clue")
+    }
+    assert(replaced > 0 && compensated > 0, s"replaced=$replaced compensated=$compensated")
   }
 
   test("ParAbacus is exact with a big budget like Abacus") {

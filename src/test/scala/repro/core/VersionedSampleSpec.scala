@@ -14,7 +14,7 @@ class VersionedSampleSpec extends AnyFunSuite {
     VersionedSampleSnapshot(
       Array.tabulate(m + 1)(v => log.count(_._1 <= v)), log.map(_._2).toArray,
       log.map(_._3.left).toArray, log.map(_._3.right).toArray,
-      new Array[Long](m), new Array[Long](m), new Array[Double](m))
+      new Array[Long](m), new Array[Long](m))
   }
 
   test("replayer at version 0 exposes exactly the base sample") {
@@ -90,7 +90,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       val core = new Abacus(k = 10, seed = trial.toLong)
       core.processAll(prefix)
       assert(core.sampleSize > 0, s"trial $trial: S_0 must not be empty")
-      val recorded = new SampleReplayer(core.advanceBatch(batch))
+      val recorded = new SampleReplayer(core.advanceBatch(batch)._1)
       (0 to batch.size).foreach { v =>
         recorded.advanceTo(v)
         assertVersion(recorded, expected(prefix.size + v), s"batch version $v")
@@ -105,8 +105,9 @@ class VersionedSampleSpec extends AnyFunSuite {
     seq.processAll(prefix)
     val core = new Abacus(k = 10, seed = 4L)
     core.processAll(prefix)
-    val snap = core.advanceBatch(batch)
+    val (snap, weights) = core.advanceBatch(batch)
     assert(snap.batchSize === batch.size)
+    assert(weights.length === batch.size)
     // The M+1 versions end in order, the last at the end of the log.
     assert(snap.ends.length === batch.size + 1)
     assert(snap.ends.sliding(2).forall(w => w(0) <= w(1)))
@@ -118,7 +119,7 @@ class VersionedSampleSpec extends AnyFunSuite {
       seq.rp.sample.snapshotEdges().toSet)
     assert(base.size === seq.sampleSize)
     batch.zipWithIndex.foreach { case (el, i) =>
-      assert(snap.weight(i) == DiscoveryProbability.increment(el.sign,
+      assert(weights(i) == DiscoveryProbability.increment(el.sign,
         seq.rp.streamEdgeCount, seq.rp.cb, seq.rp.cg, seq.k), s"edge $i")
       assert((snap.elemLeft(i), snap.elemRight(i)) === ((el.edge.left, el.edge.right)),
         s"edge $i")

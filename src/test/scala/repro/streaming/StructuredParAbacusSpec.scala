@@ -38,9 +38,7 @@ class StructuredParAbacusSpec extends SparkSpec {
     } finally query.stop()
 
     assert(pa.processed === stream.size.toLong)
-    val tol = 1e-9 * math.max(1.0, math.abs(seq.estimate))
-    assert(math.abs(pa.estimate - seq.estimate) <= tol,
-      s"streaming=${pa.estimate} offline=${seq.estimate}")
+    assert(pa.estimate == seq.estimate, s"streaming=${pa.estimate} offline=${seq.estimate}")
   }
 
   test("empty micro-batches are tolerated") {
