@@ -63,7 +63,7 @@ trait Adjacency {
   * `(lefts(j), rights(j))` for `j < size`, in `ArrayBuffer` swap-remove
   * order.
   */
-final class AdjacencySample extends DenseSet(8) with Adjacency {
+final class AdjacencySample extends DenseSet(8, 0) with Adjacency {
   private var lefts = new Array[Long](capacity)
   private var rights = new Array[Long](capacity)
 

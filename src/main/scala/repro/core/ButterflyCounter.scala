@@ -9,11 +9,12 @@ package repro.core
   *
   * The *cheapest side* heuristic (line 7) picks the endpoint whose
   * view-neighbours have the smaller cumulative degree and drives the set
-  * intersections from there; each intersection iterates the smaller of the
-  * two neighbour sets and probes the larger, so its cost is the size of the
-  * smaller set. Butterflies and probes are integer sums over the sets'
-  * members, so neither depends on the order in which a [[LongSet]] holds
-  * them.
+  * intersections from there. Each intersection is charged the size of the
+  * smaller of the two neighbour sets, as if it iterated that set and probed
+  * the larger; when both sets keep a bitmap (see [[LongSet]]) it is taken
+  * by AND and popcount instead, for the same count and the same charge.
+  * Butterflies and probes are integer sums over the sets' members, so
+  * neither depends on the order in which a [[LongSet]] holds them.
   *
   * The cumulative degrees are only compared, so only the side with fewer
   * neighbours is summed in full; the other is summed until it reaches that
@@ -99,20 +100,29 @@ object ButterflyCounter {
     Result(found, work)
   }
 
-  /** |a ∩ b| excluding one vertex; iterates the smaller set, probes the
-    * larger, so it spends `min(|a|, |b|)` probes: the paper's load metric,
-    * "checks that happened within the set intersection operations" (§VI-G).
+  /** |a ∩ b| excluding one vertex. It costs `min(|a|, |b|)` probes: the
+    * paper's load metric, "checks that happened within the set intersection
+    * operations" (§VI-G), however the count is taken.
+    *
+    * When both sets keep a bitmap, the count is the popcount of their AND
+    * over the overlap of the two windows, less one if `exclude` is in both.
+    * Otherwise it iterates the smaller set and tests each member in the
+    * larger one: a bit test if the larger keeps a bitmap, else a hash probe
+    * (or, in a set too small for a table, a scan).
     */
-  private def intersectCount(a: LongSet, b: LongSet, exclude: Long): Long = {
-    val small = if (a.size <= b.size) a else b
-    val large = if (small eq a) b else a
-    var c = 0L
-    var i = 0
-    while (i < small.size) {
-      val x = small.keyAt(i)
-      if (x != exclude && large.contains(x)) c += 1
-      i += 1
+  private def intersectCount(a: LongSet, b: LongSet, exclude: Long): Long =
+    if (a.bitmapWords > 0 && b.bitmapWords > 0)
+      a.andCount(b) - (if (a.contains(exclude) && b.contains(exclude)) 1 else 0)
+    else {
+      val small = if (a.size <= b.size) a else b
+      val large = if (small eq a) b else a
+      var c = 0L
+      var i = 0
+      while (i < small.size) {
+        val x = small.keyAt(i)
+        if (x != exclude && large.contains(x)) c += 1
+        i += 1
+      }
+      c
     }
-    c
-  }
 }

@@ -7,13 +7,22 @@ package repro.core
   * degrades probes). A slot holds position + 1, so 0 marks an empty slot.
   * Removal is swap-remove: the last member takes the freed position.
   *
+  * While the member arrays hold at most `scanLimit` positions the set keeps
+  * no table: the subclass finds a member by scanning positions
+  * `0 until size` and removes it with [[removeAt]]. The table is built when
+  * the arrays grow past `scanLimit` and kept from then on. Positions and
+  * their swap-remove order are the same with or without it.
+  *
   * A subclass owns the member arrays and provides [[hashAt]], [[move]],
-  * [[grow]] and its own key lookup along [[home]] and [[nextSlot]].
+  * [[grow]] and its own key lookup: a scan while [[indexed]] is false, else
+  * a probe along [[home]] and [[nextSlot]].
   */
-abstract class DenseSet(initialCapacity: Int) {
-  private var table = new Array[Int](2 * initialCapacity)
-  private var shift = 64 - Integer.numberOfTrailingZeros(table.length) // the hash keeps the top bits
+abstract class DenseSet(initialCapacity: Int, scanLimit: Int) {
+  private var cap = initialCapacity
+  private var table: Array[Int] = null
+  private var shift = 0 // the hash keeps the top bits
   private var count = 0
+  if (cap > scanLimit) index()
 
   /** Number of members. */
   final def size: Int = count
@@ -30,7 +39,12 @@ abstract class DenseSet(initialCapacity: Int) {
   protected def grow(capacity: Int): Unit
 
   /** Positions the member arrays must hold. */
-  protected final def capacity: Int = table.length >> 1
+  protected final def capacity: Int = cap
+
+  /** Whether the set keeps a position table; without one, members are found
+    * by a scan of the positions.
+    */
+  protected final def indexed: Boolean = table ne null
 
   /** Home slot of a member with hash `h`. */
   private[core] final def home(h: Long): Int = (h >>> shift).toInt
@@ -46,16 +60,22 @@ abstract class DenseSet(initialCapacity: Int) {
     * naming a member array: this call may replace them.
     */
   protected final def nextPosition(h: Long): Int = {
-    if (count == capacity) {
-      grow(2 * capacity)
-      table = new Array[Int](2 * table.length)
-      shift -= 1
-      var p = 0
-      while (p < count) { place(hashAt(p), p); p += 1 }
+    if (count == cap) {
+      cap *= 2
+      grow(cap)
+      if (cap > scanLimit) index()
     }
-    place(h, count)
+    if (indexed) place(h, count)
     count += 1
     count - 1
+  }
+
+  /** Remove the member at position `pos` of a set without a table; the last
+    * member takes its position.
+    */
+  protected final def removeAt(pos: Int): Unit = {
+    count -= 1
+    if (pos < count) move(count, pos)
   }
 
   /** Remove the member whose position `slot` holds; the last member takes
@@ -86,12 +106,23 @@ abstract class DenseSet(initialCapacity: Int) {
     table(gap) = 0
   }
 
+  /** A fresh table of `2 · capacity` slots holding every member. */
+  private def index(): Unit = {
+    table = new Array[Int](2 * cap)
+    shift = 64 - Integer.numberOfTrailingZeros(table.length)
+    var p = 0
+    while (p < count) { place(hashAt(p), p); p += 1 }
+  }
+
   private def place(h: Long, pos: Int): Unit = {
     var i = home(h)
     while (table(i) != 0) i = nextSlot(i)
     table(i) = pos + 1
   }
 
-  /** A copy of the position table (tests check its size and layout). */
-  private[core] final def tableSlots: Array[Int] = table.clone()
+  /** A copy of the position table, empty if there is none (tests check its
+    * size and layout).
+    */
+  private[core] final def tableSlots: Array[Int] =
+    if (indexed) table.clone() else Array.emptyIntArray
 }

@@ -58,13 +58,15 @@ final class ParAbacus(k: Int, seed: Long, spark: SparkSession, val numPartitions
 
     // Phase 2 (parallel): per-edge counting, edge i against version i. The
     // closure captures only `bc` and `p`: the sampler state in `this` stays
-    // on the driver and is not serializable.
+    // on the driver and is not serializable. The broadcast is destroyed
+    // whether or not the job succeeds.
     val p = numPartitions
     val results: Array[PartitionCount] =
-      sc.parallelize(0 until p, p)
-        .map(pid => ParAbacus.countRange(bc.value, pid, p))
-        .collect()
-    bc.destroy()
+      try {
+        sc.parallelize(0 until p, p)
+          .map(pid => ParAbacus.countRange(bc.value, pid, p))
+          .collect()
+      } finally bc.destroy()
 
     // Phase 3: add the counts in partition order (edge order overall).
     addCounts(weights, results)

@@ -186,4 +186,50 @@ class ButterflyCounterSpec extends AnyFunSuite {
     assert(Seq(exploredU, exploredV, tiesUSmaller, tiesVSmaller).forall(_ > 50),
       s"u $exploredU, v $exploredV, ties u-smaller $tiesUSmaller, v-smaller $tiesVSmaller")
   }
+
+  test("property: butterflies and work equal a naive Set count on graphs that mix bitmapped and plain sets") {
+    val rng = new java.util.SplittableRandom(29L)
+    // Dense blocks of ids (two words of lefts, four of rights, negatives
+    // included) with hubs, plus ids spread over the whole Long range: a
+    // large set drawn only from a block takes a bitmap, one spread id keeps
+    // a set plain.
+    def spread(): Long = rng.nextInt(4) match {
+      case 0 => Long.MinValue + rng.nextInt(3)
+      case 1 => Long.MaxValue - rng.nextInt(3)
+      case _ => rng.nextLong()
+    }
+    def id(lo: Long, n: Int, far: Double): Long =
+      if (rng.nextDouble() < far) spread() else lo + (n * math.pow(rng.nextDouble(), 2)).toLong
+    var bitmapped, plain, insertions, deletions, andPath = 0
+    (1 to 24).foreach { trial =>
+      val far = Seq(0.0, 0.005, 0.02, 0.1)(trial % 4)
+      val edges = Seq.fill(300 + rng.nextInt(1200))(Edge(id(0L, 128, far), id(-64L, 256, far))).toSet
+      val view = viewOf(edges)
+      val lefts = edges.iterator.map(_.left).toVector.distinct
+      val rights = edges.iterator.map(_.right).toVector.distinct
+      (lefts.map(view.leftNeighbors) ++ rights.map(view.rightNeighbors)).filter(_.size > 16)
+        .foreach(n => if (n.bitmapWords > 0) bitmapped += 1 else plain += 1)
+      val present = edges.toVector
+      val hubsL = lefts.sortBy(-view.leftNeighbors(_).size).take(12)
+      val hubsR = rights.sortBy(-view.rightNeighbors(_).size).take(12)
+      val tried = Seq.fill(100)(present(rng.nextInt(present.size))) ++
+        Seq.fill(100)(Edge(lefts(rng.nextInt(lefts.size)), rights(rng.nextInt(rights.size)))) ++
+        Seq.fill(100)(Edge(hubsL(rng.nextInt(hubsL.size)), hubsR(rng.nextInt(hubsR.size))))
+      tried.foreach { e =>
+        if (edges(e)) deletions += 1 else insertions += 1
+        // Whichever side is explored, some intersection ANDs two bitmaps.
+        def ands(n: LongSet, skip: Long, other: LongSet, right: Boolean): Boolean =
+          other.bitmapWords > 0 && TestGraphs.ids(n).exists(x => x != skip &&
+            (if (right) view.rightNeighbors(x) else view.leftNeighbors(x)).bitmapWords > 0)
+        val nu = view.leftNeighbors(e.left)
+        val nv = view.rightNeighbors(e.right)
+        if (ands(nu, e.right, nv, right = true) && ands(nv, e.left, nu, right = false)) andPath += 1
+        assert(ButterflyCounter.countForEdge(view, e.left, e.right) === reference(edges, e.left, e.right)._1,
+          s"trial $trial edge $e present ${edges(e)}")
+      }
+    }
+    assert(Seq(bitmapped, plain, insertions, deletions, andPath).forall(_ > 50),
+      s"bitmapped $bitmapped, plain $plain, insertions $insertions, deletions $deletions, " +
+        s"AND path on either side $andPath")
+  }
 }
