@@ -178,7 +178,10 @@ object LongSet {
   /** The neighbour set of an absent vertex; [[LongSet.add]] rejects it. */
   val empty: LongSet = new LongSet
 
-  /** Positions up to which a set scans its keys instead of keeping a table. */
+  /** Positions up to which a set scans its keys instead of keeping a table.
+    * Of 0, 2, 4 and 8, 8 keeps the least state on perfbench's workloads, and
+    * sequential ABACUS times did not separate them (EXPERIMENTS.md).
+    */
   private[core] final val ScanLimit = 8
 
   private[core] def hash(x: Long): Long = x * 0x9E3779B97F4A7C15L
